@@ -7,7 +7,7 @@ workers, each a full single-process
 :class:`~repro.service.server.MatchingService` in its own OS process
 with its own journal directory (``journals/shard-K/``).  The paper's
 structure is what makes this shard cleanly: every update touches only
-one session's sparsifier state, so per-session placement gives
+one session's graph and matcher, so per-session placement gives
 shared-nothing parallelism without giving up the per-session total
 update order that deterministic replay requires.
 

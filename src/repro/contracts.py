@@ -231,8 +231,8 @@ def check_replay_sessions(recorded, replayed):
 
     * same applied-update count (``seq``);
     * byte-identical output matchings (``mate`` array buffers);
-    * identical state fingerprints (matching + sparsifier edge set +
-      per-vertex marks — see ``Session.fingerprint``);
+    * identical state fingerprints (backend, ``seq``, matching and the
+      sorted live-graph edge set — see ``Session.fingerprint``);
     * under ``REPRO_RNG_SANITIZE=1``, identical RNG stream fingerprints
       (same stream ids *and* draw counts), i.e. the replay consumed the
       same randomness, not merely reached the same answer.
@@ -259,7 +259,7 @@ def check_replay_sessions(recorded, replayed):
     if recorded_print != replayed_print:
         _fail(
             f"replayed session fingerprint {replayed_print[:16]}… does not "
-            f"match the recorded {recorded_print[:16]}…; sparsifier state "
+            f"match the recorded {recorded_print[:16]}…; the live graph "
             "diverged even though the matching agrees"
         )
     recorded_rng = recorded.rng_fingerprints()

@@ -5,7 +5,8 @@
 * :mod:`repro.dynamic.stability` — Lemma 3.4 (Gupta–Peng stability).
 * :mod:`repro.dynamic.lazy_rebuild` — the Theorem 3.5 algorithm: windowed
   rebuilds, work spread per update for a deterministic worst-case bound,
-  correct against an adaptive adversary.
+  correct against an adaptive adversary; its ``WindowedRebuild`` core is
+  shared with :mod:`repro.dynamic.oblivious`, the maintained-G_Δ matcher.
 * :mod:`repro.dynamic.dynamic_sparsifier` — O(Δ)-update maintenance of
   G_Δ itself (the oblivious-adversary warm-up of §3.3).
 * :mod:`repro.dynamic.baseline` — deterministic 2-approximation baseline

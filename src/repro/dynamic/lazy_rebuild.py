@@ -23,6 +23,10 @@ The per-update chunk budget is self-tuned: each completed rebuild records
 its total chunk cost T and the next window's budget is ⌈T / W⌉ with
 W = 1 + ⌊(ε/4)·|M|⌋ — the paper's "simulate T/W steps per update",
 with T estimated by the previous run instead of an a-priori bound.
+
+That window/budget/pump/swap/prune machinery is :class:`WindowedRebuild`,
+shared with :class:`~repro.dynamic.oblivious.ObliviousDynamicMatching`;
+each matcher supplies only its rebuild generator and its graph upkeep.
 """
 
 from __future__ import annotations
@@ -39,7 +43,123 @@ from repro.instrument.rng import resolve_rng
 from repro.matching.matching import Matching
 
 
-class LazyRebuildMatching:
+class WindowedRebuild:
+    """The Gupta–Peng windowed-rebuild engine of Section 3.3.
+
+    Holds the output matching of the last completed static run and
+    re-uses it for a window of W = 1 + ⌊(ε/4)·|M|⌋ updates, while the
+    next run is simulated ⌈T/W⌉ chunks per update (T: the previous
+    run's chunk cost), optionally capped at ``max_chunks_per_update``.
+    A completed run is swapped in after pruning the edges deleted while
+    it was in flight.
+
+    Subclasses provide ``graph`` (the live :class:`DynamicGraph` the
+    prune probes), ``_rebuild_generator()`` (yields once per chunk and
+    returns a mate array), and an ``update`` that keeps their graph
+    current and then calls :meth:`_advance`.  They call
+    :meth:`_start_rebuild` once their own state exists.
+    """
+
+    def __init__(
+        self,
+        num_vertices: int,
+        epsilon: float,
+        max_chunks_per_update: int | None = None,
+    ) -> None:
+        if not 0.0 < epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+        if max_chunks_per_update is not None and max_chunks_per_update < 1:
+            raise ValueError("max_chunks_per_update must be >= 1")
+        self.epsilon = epsilon
+        self._max_chunks = max_chunks_per_update
+        self._mate = np.full(num_vertices, -1, dtype=np.int64)
+        self._rebuild = None
+        self._rebuild_chunks = 0
+        self._last_rebuild_cost = 1
+        self._budget = 1
+        self.work_log: list[int] = []
+        self.rebuilds_completed = 0
+
+    # ------------------------------------------------------------------ #
+    @property
+    def matching(self) -> Matching:
+        """The currently maintained matching (always valid in the graph)."""
+        return Matching(self._mate.copy())
+
+    def _window(self) -> int:
+        size = int(np.count_nonzero(self._mate >= 0)) // 2
+        return 1 + int(math.floor((self.epsilon / 4.0) * size))
+
+    def _start_rebuild(self) -> None:
+        self._rebuild = self._rebuild_generator()
+        self._rebuild_chunks = 0
+        self._budget = max(1, math.ceil(self._last_rebuild_cost / self._window()))
+        if self._max_chunks is not None:
+            self._budget = min(self._budget, self._max_chunks)
+
+    def _pump(self) -> int:
+        """Advance the in-progress rebuild by ≤ budget chunks; swap on
+        completion.  Returns chunks consumed."""
+        consumed = 0
+        while consumed < self._budget:
+            try:
+                next(self._rebuild)
+                consumed += 1
+                self._rebuild_chunks += 1
+            except StopIteration as stop:
+                # Runs once per *completed rebuild* (amortized over the
+                # whole update window), not per pumped chunk.
+                new_mate = np.asarray(  # repro-lint: ignore[R17]
+                    stop.value, dtype=np.int64
+                )
+                # Prune edges deleted while the rebuild was in flight.
+                # Candidate endpoints are selected vectorized (one pass
+                # over the mate array); only the surviving lower
+                # endpoints hit the O(1) has_edge probe.
+                matched = np.flatnonzero(new_mate >= 0)
+                lower = matched[matched < new_mate[matched]]
+                partners = new_mate[lower]
+                for v, u in zip(lower.tolist(), partners.tolist()):
+                    if not self.graph.has_edge(v, u):
+                        new_mate[v] = -1
+                        new_mate[u] = -1
+                meter = workmeter.active()
+                if meter is not None:
+                    meter.count("edge-touch", "WindowedRebuild.prune",
+                                max(int(lower.size), 1))
+                self._mate = new_mate
+                self.rebuilds_completed += 1
+                self._last_rebuild_cost = max(1, self._rebuild_chunks)
+                self._start_rebuild()
+                break
+        return consumed
+
+    def _advance(self, op: str, u: int, v: int) -> int:
+        """Drop a deleted matched edge, then pump; returns chunks consumed.
+
+        Called by ``update`` after the subclass has applied the edge
+        update to its graph.
+        """
+        if op == "delete" and self._mate[u] == v:
+            self._mate[u] = -1
+            self._mate[v] = -1
+        return self._pump()
+
+    # ------------------------------------------------------------------ #
+    def insert(self, u: int, v: int) -> None:
+        """Insert edge {u, v}."""
+        self.update("insert", u, v)
+
+    def delete(self, u: int, v: int) -> None:
+        """Delete edge {u, v}."""
+        self.update("delete", u, v)
+
+    def max_work_per_update(self) -> int:
+        """Maximum work recorded for any single update so far."""
+        return max(self.work_log, default=0)
+
+
+class LazyRebuildMatching(WindowedRebuild):
     """Maintains a (1+ε)-approximate MCM under fully dynamic updates.
 
     Parameters
@@ -89,111 +209,33 @@ class LazyRebuildMatching:
         *,
         seed: int | None = None,
     ) -> None:
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+        super().__init__(num_vertices, epsilon, max_chunks_per_update)
         self.graph = DynamicGraph(num_vertices)
         self.beta = beta
-        self.epsilon = epsilon
         self._static_eps = epsilon / 4.0
         self._policy = policy or DeltaPolicy.practical()
         self.delta = self._policy.delta(beta, self._static_eps, num_vertices)
         self._sweeps = math.ceil(1.0 / self._static_eps) + 1
         self._rng = resolve_rng(seed=seed, rng=rng, owner="LazyRebuildMatching")
         self._chunk = chunk
-        if max_chunks_per_update is not None and max_chunks_per_update < 1:
-            raise ValueError("max_chunks_per_update must be >= 1")
-        self._max_chunks = max_chunks_per_update
-
-        self._mate = np.full(num_vertices, -1, dtype=np.int64)
-        self._rebuild = None
-        self._rebuild_chunks = 0
-        self._last_rebuild_cost = 1
-        self._budget = 1
-        self.work_log: list[int] = []
-        self.rebuilds_completed = 0
         self._start_rebuild()
 
     # ------------------------------------------------------------------ #
-    @property
-    def matching(self) -> Matching:
-        """The currently maintained matching (always valid in the graph)."""
-        return Matching(self._mate.copy())
-
-    def _window(self) -> int:
-        size = int(np.count_nonzero(self._mate >= 0)) // 2
-        return 1 + int(math.floor((self.epsilon / 4.0) * size))
-
-    def _start_rebuild(self) -> None:
-        self._rebuild = incremental_rebuild(
+    def _rebuild_generator(self):
+        """A fresh Theorem 3.5 static run: new Δ-samples every rebuild."""
+        return incremental_rebuild(
             self.graph,
             self.delta,
             self._sweeps,
             self._rng.spawn(1)[0],
             chunk=self._chunk,
         )
-        self._rebuild_chunks = 0
-        self._budget = max(1, math.ceil(self._last_rebuild_cost / self._window()))
-        if self._max_chunks is not None:
-            self._budget = min(self._budget, self._max_chunks)
-
-    def _pump(self) -> int:
-        """Advance the in-progress rebuild by ≤ budget chunks; swap on
-        completion.  Returns chunks consumed."""
-        consumed = 0
-        while consumed < self._budget:
-            try:
-                next(self._rebuild)
-                consumed += 1
-                self._rebuild_chunks += 1
-            except StopIteration as stop:
-                # Runs once per *completed rebuild* (amortized over the
-                # whole update window), not per pumped chunk.
-                new_mate = np.asarray(  # repro-lint: ignore[R17]
-                    stop.value, dtype=np.int64
-                )
-                # Prune edges deleted while the rebuild was in flight.
-                # Candidate endpoints are selected vectorized (one pass
-                # over the mate array); only the surviving lower
-                # endpoints hit the O(1) has_edge probe.
-                matched = np.flatnonzero(new_mate >= 0)
-                lower = matched[matched < new_mate[matched]]
-                partners = new_mate[lower]
-                for v, u in zip(lower.tolist(), partners.tolist()):
-                    if not self.graph.has_edge(v, u):
-                        new_mate[v] = -1
-                        new_mate[u] = -1
-                meter = workmeter.active()
-                if meter is not None:
-                    meter.count("edge-touch", "LazyRebuildMatching.prune",
-                                max(int(lower.size), 1))
-                self._mate = new_mate
-                self.rebuilds_completed += 1
-                self._last_rebuild_cost = max(1, self._rebuild_chunks)
-                self._start_rebuild()
-                break
-        return consumed
 
     # ------------------------------------------------------------------ #
     def update(self, op: str, u: int, v: int) -> None:
         """Apply one edge update and do the bounded per-update work."""
         self.graph.apply(op, u, v)
-        if op == "delete" and self._mate[u] == v:
-            self._mate[u] = -1
-            self._mate[v] = -1
-        self.work_log.append(self._pump())
-
-    def insert(self, u: int, v: int) -> None:
-        """Insert edge {u, v}."""
-        self.update("insert", u, v)
-
-    def delete(self, u: int, v: int) -> None:
-        """Delete edge {u, v}."""
-        self.update("delete", u, v)
-
-    # ------------------------------------------------------------------ #
-    def max_work_per_update(self) -> int:
-        """Maximum chunks consumed by any single update so far."""
-        return max(self.work_log, default=0)
+        self.work_log.append(self._advance(op, u, v))
 
     def current_ratio(self) -> float:
         """Exact approximation ratio right now (oracle; for experiments).

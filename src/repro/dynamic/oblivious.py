@@ -17,17 +17,15 @@ chunks, all recorded in :attr:`work_log`.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.delta import DeltaPolicy
 from repro.dynamic.dynamic_sparsifier import DynamicSparsifier
+from repro.dynamic.lazy_rebuild import WindowedRebuild
 from repro.instrument.rng import resolve_rng
-from repro.matching.matching import Matching
 
 
-class ObliviousDynamicMatching:
+class ObliviousDynamicMatching(WindowedRebuild):
     """Dynamic (1+ε)-matching via a maintained sparsifier (oblivious only).
 
     Parameters mirror :class:`~repro.dynamic.lazy_rebuild.LazyRebuildMatching`;
@@ -53,10 +51,8 @@ class ObliviousDynamicMatching:
         *,
         seed: int | None = None,
     ) -> None:
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+        super().__init__(num_vertices, epsilon)
         self.beta = beta
-        self.epsilon = epsilon
         pol = policy or DeltaPolicy.practical()
         self.delta = pol.delta(beta, epsilon / 4.0, num_vertices)
         self.sparsifier = DynamicSparsifier(
@@ -64,14 +60,7 @@ class ObliviousDynamicMatching:
             self.delta,
             rng=resolve_rng(seed=seed, rng=rng, owner="ObliviousDynamicMatching"),
         )
-        self._n = num_vertices
         self._chunk_edges = chunk_edges
-        self._mate = np.full(num_vertices, -1, dtype=np.int64)
-        self._rebuild = None
-        self._budget = 1
-        self._last_cost = 1
-        self.work_log: list[int] = []
-        self.rebuilds_completed = 0
         self._start_rebuild()
 
     # ------------------------------------------------------------------ #
@@ -80,19 +69,10 @@ class ObliviousDynamicMatching:
         """The live dynamic graph (owned by the sparsifier)."""
         return self.sparsifier.graph
 
-    @property
-    def matching(self) -> Matching:
-        """The maintained matching."""
-        return Matching(self._mate.copy())
-
-    def _window(self) -> int:
-        size = int(np.count_nonzero(self._mate >= 0)) // 2
-        return 1 + int(math.floor((self.epsilon / 4.0) * size))
-
     def _rebuild_generator(self):
         """Greedy matching over the *maintained* sparsifier edge set,
         chunked by edges scanned."""
-        mate = np.full(self._n, -1, dtype=np.int64)
+        mate = np.full(self._mate.size, -1, dtype=np.int64)
         scanned = 0
         for u, v in sorted(self.sparsifier.edges()):
             scanned += 1
@@ -104,59 +84,9 @@ class ObliviousDynamicMatching:
         yield 1
         return mate
 
-    def _start_rebuild(self) -> None:
-        self._rebuild = self._rebuild_generator()
-        self._cost = 0
-        self._budget = max(1, math.ceil(self._last_cost / self._window()))
-
-    def _pump(self) -> int:
-        consumed = 0
-        while consumed < self._budget:
-            try:
-                next(self._rebuild)
-                consumed += 1
-                self._cost += 1
-            except StopIteration as stop:
-                # Runs once per *completed rebuild* (amortized over the
-                # whole update window), not per pumped chunk.
-                new_mate = np.asarray(  # repro-lint: ignore[R17]
-                    stop.value, dtype=np.int64
-                )
-                # Candidate endpoints selected vectorized; only the
-                # surviving lower endpoints hit the O(1) has_edge probe.
-                matched = np.flatnonzero(new_mate >= 0)
-                lower = matched[matched < new_mate[matched]]
-                partners = new_mate[lower]
-                for v, u in zip(lower.tolist(), partners.tolist()):
-                    if not self.graph.has_edge(v, u):
-                        new_mate[v] = -1
-                        new_mate[u] = -1
-                self._mate = new_mate
-                self.rebuilds_completed += 1
-                self._last_cost = max(1, self._cost)
-                self._start_rebuild()
-                break
-        return consumed
-
     # ------------------------------------------------------------------ #
     def update(self, op: str, u: int, v: int) -> None:
         """Apply one update: O(Δ) sparsifier maintenance + bounded rebuild."""
         self.sparsifier.update(op, u, v)
         spars_ops = self.sparsifier.work_log[-1]
-        if op == "delete" and self._mate[u] == v:
-            self._mate[u] = -1
-            self._mate[v] = -1
-        chunks = self._pump()
-        self.work_log.append(spars_ops + chunks)
-
-    def insert(self, u: int, v: int) -> None:
-        """Insert edge {u, v}."""
-        self.update("insert", u, v)
-
-    def delete(self, u: int, v: int) -> None:
-        """Delete edge {u, v}."""
-        self.update("delete", u, v)
-
-    def max_work_per_update(self) -> int:
-        """Worst per-update work units so far."""
-        return max(self.work_log, default=0)
+        self.work_log.append(spars_ops + self._advance(op, u, v))

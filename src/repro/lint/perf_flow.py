@@ -74,10 +74,15 @@ PERF_CODES = ("R15", "R16", "R17", "R18", "R19")
 
 #: Default hot roots: the update entry points of the dynamic algorithms
 #: and the served session, suffix-matched against fully-qualified names.
+#: The call graph does not follow inheritance, so the shared
+#: windowed-rebuild core and the matchers' rebuild generators (reached
+#: only through ``self`` calls across the class hierarchy) are named.
 DEFAULT_HOT_ROOTS = (
     "DynamicSparsifier.update",
     "LazyRebuildMatching.update",
     "ObliviousDynamicMatching.update",
+    "WindowedRebuild._advance",
+    "_rebuild_generator",
     "DynamicMaximalMatching.update",
     "Session.apply",
     "incremental_rebuild",

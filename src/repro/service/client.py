@@ -199,7 +199,7 @@ class ServiceClient:
         return self.call({"op": "stats", "session": session})
 
     def snapshot(self, session: str) -> dict:
-        """Graph + sparsifier edge sets and the state fingerprint."""
+        """Graph edges, an on-demand G_Δ sample, and the state fingerprint."""
         return self.call({"op": "snapshot", "session": session})
 
     def close_session(self, session: str) -> dict:

@@ -1,7 +1,7 @@
 """Deterministic replay journals: ``repro-service-journal-v1``.
 
 Every journaled session can be rebuilt *offline* to a byte-identical
-matching and sparsifier fingerprint.  The format follows the engine's
+matching and state fingerprint.  The format follows the engine's
 checkpoint discipline (append-only JSONL, a kill loses at most the line
 being written, truncated tails tolerated):
 
@@ -24,11 +24,14 @@ being written, truncated tails tolerated):
 Replay (:func:`replay_journal`) rebuilds the root generator via
 :func:`~repro.instrument.rng.rng_from_spec`, constructs a fresh
 :class:`~repro.service.session.Session` with the header's parameters,
-and applies the updates in sequence.  Because the session spawns its
-child streams deterministically and every random draw is a function of
-(stream, applied-update sequence), the replayed matching's mate array
-and the state fingerprint match the live session byte-for-byte — the
-property :func:`repro.contracts.check_replay_sessions` asserts.
+and applies the updates in sequence.  Because the session spawns the
+backend's stream deterministically and every random draw is a function
+of (stream, applied-update sequence), the replayed matching's mate
+array and the state fingerprint (backend, ``seq``, mate array, sorted
+live-graph edges) match the live session byte-for-byte — the property
+:func:`repro.contracts.check_replay_sessions` asserts.  The journal
+stores no fingerprint, so the fingerprint's definition can change
+without a format change.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ Ops
     Metrics snapshot: counters, latency percentiles, queue depth,
     work bounds, Lemma 3.4 certificate.
 ``snapshot``
-    Current graph + sparsifier edge sets and the session fingerprint.
+    Current graph, a G_Δ sampled on demand, and the session fingerprint.
 ``close``
     Close a session (flushes and closes its replay journal).
 ``sessions``

@@ -1,26 +1,31 @@
-"""A served graph session: sparsifier + matcher backend + certificates.
+"""A served graph session: matcher backend + certificate + journal.
 
 A :class:`Session` is the unit the server multiplexes.  It owns
 
-* a maintained :class:`~repro.dynamic.dynamic_sparsifier.DynamicSparsifier`
-  (the G_Δ of Section 3.3, queryable via the ``snapshot`` op),
 * a pluggable dynamic-matcher **backend** answering ``query_matching``
   (:data:`BACKENDS`: ``lazy_rebuild`` — the adaptive-adversary-safe
   Theorem 3.5 algorithm, the default; ``oblivious`` — the maintained-
   sparsifier variant, oblivious-safe only; ``baseline`` — the
-  deterministic 2-approximation), and
+  deterministic 2-approximation).  The backend's ``graph`` is the
+  session's one live graph: validation, ``stats``, ``snapshot`` and the
+  fingerprint all read it;
 * a :class:`~repro.dynamic.stability.StabilityTracker` restarted at
   every completed rebuild, so ``stats`` can report the approximation
   factor Lemma 3.4 *certifies* right now, not just measurements.
 
+Theorem 3.5 draws fresh Δ-samples for every rebuild, so the session
+keeps no maintained G_Δ of its own: ``snapshot`` samples one on demand
+(:meth:`Session.sample_sparsifier`) from a stream that is a pure
+function of the session's RngSpec and ``seq``.
+
 Determinism: the session's root generator is resolved once from
 ``seed=``/``rng=``; its :class:`~repro.instrument.rng.RngSpec` is
 captured before any draw and recorded in the replay journal header, and
-the sparsifier/backend streams are spawned children, so replaying the
-journaled update sequence through a fresh session rebuilds the *same*
-streams and therefore a byte-identical matching and fingerprint.  Under
-``REPRO_RNG_SANITIZE=1`` the streams are draw-counted and the replay
-contract additionally compares their fingerprints.
+the backend stream is a spawned child, so replaying the journaled
+update sequence through a fresh session rebuilds the *same* stream and
+therefore a byte-identical matching and fingerprint.  Under
+``REPRO_RNG_SANITIZE=1`` the backend stream is draw-counted and the
+replay contract additionally compares its fingerprint.
 
 The per-update **work budget** is derived from the Theorem 3.5 bound
 (:func:`theorem_work_budget`) and handed to the ``lazy_rebuild``
@@ -31,14 +36,15 @@ worst-case guarantee the service's admission-control primitive.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from hashlib import sha256
 from typing import Callable
 
 import numpy as np
 
 from repro.core.delta import DeltaPolicy
+from repro.core.sparsifier import SparsifierResult, build_sparsifier
 from repro.dynamic.baseline import DynamicMaximalMatching
-from repro.dynamic.dynamic_sparsifier import DynamicSparsifier
 from repro.dynamic.lazy_rebuild import LazyRebuildMatching
 from repro.dynamic.oblivious import ObliviousDynamicMatching
 from repro.contracts import check_work_budget
@@ -49,6 +55,7 @@ from repro.instrument.rng import (
     RngSpec,
     SanitizedGenerator,
     resolve_rng,
+    rng_from_spec,
     rng_sanitize_enabled,
     rng_spec,
     sanitize_rng,
@@ -131,8 +138,9 @@ def _make_baseline(num_vertices, beta, epsilon, rng, work_budget):
 
 
 #: Backend registry: name → factory(num_vertices, beta, epsilon, rng,
-#: work_budget).  Every backend exposes ``update(op, u, v)``,
-#: ``matching``, ``work_log`` and ``max_work_per_update()``.
+#: work_budget).  Every backend exposes ``update(op, u, v)``, ``graph``
+#: (the live :class:`~repro.dynamic.graph.DynamicGraph`), ``matching``,
+#: ``work_log`` and ``max_work_per_update()``.
 BACKENDS: dict[str, Callable] = {
     "lazy_rebuild": _make_lazy_rebuild,
     "oblivious": _make_oblivious,
@@ -192,16 +200,15 @@ class Session:
         #: Stream identity of the root generator, captured before any
         #: draw — what the replay journal header records.
         self.rng_spec: RngSpec = rng_spec(root)
-        sparsifier_rng, matcher_rng = root.spawn(2)
-        self._child_rngs = (sparsifier_rng, matcher_rng)
+        # The backend takes child 1.  Child 0's key space belongs to the
+        # on-demand snapshot samples (spawn key + (0, seq)), so sampling
+        # never touches the backend's stream.
+        self._matcher_rng = root.spawn(2)[1]
         policy = DeltaPolicy.practical()
         self.delta = policy.delta(beta, epsilon, num_vertices)
         self.work_budget = theorem_work_budget(beta, epsilon)
-        self.sparsifier = DynamicSparsifier(
-            num_vertices, self.delta, rng=sparsifier_rng
-        )
         self.matcher = BACKENDS[backend](
-            num_vertices, beta, epsilon, matcher_rng, self.work_budget
+            num_vertices, beta, epsilon, self._matcher_rng, self.work_budget
         )
         self.journal = journal
         self.metrics = ServiceMetrics()
@@ -227,20 +234,22 @@ class Session:
             )
         if u == v:
             raise UpdateError(f"self-loop ({u}, {v})")
-        present = self.sparsifier.graph.has_edge(u, v)
+        present = self.matcher.graph.has_edge(u, v)
         if op == "insert" and present:
             raise UpdateError(f"edge ({u}, {v}) already present")
         if op == "delete" and not present:
             raise UpdateError(f"edge ({u}, {v}) not present")
 
     def apply(self, op: str, u: int, v: int) -> dict:
-        """Validate and apply one update to sparsifier + backend.
+        """Validate and apply one update to the backend.
 
         Returns an applied-update record ``{"seq", "op", "work"}``;
         raises :class:`UpdateError` (nothing applied, nothing
         journaled) for invalid updates.  The journal line is written
         immediately; flushing is batched by the caller
-        (:meth:`flush_journal`).
+        (:meth:`flush_journal`).  Under ``REPRO_WORK_AUDIT=1`` a work-cap
+        violation raises only after the update is journaled and
+        accounted, so the live session and its journal never diverge.
         """
         if op not in ("insert", "delete"):
             raise UpdateError(f"unknown update op {op!r}")
@@ -248,10 +257,17 @@ class Session:
         meter = workmeter.active()
         if meter is not None:
             meter.begin_update()
-        self.sparsifier.update(op, u, v)
         self.matcher.update(op, u, v)
         if meter is not None:
             ops = meter.end_update()
+        self.seq += 1
+        if self.journal is not None:
+            self.journal.record(self.seq, op, u, v)
+        self._advance_certificate(op, u, v)
+        work = self.matcher.work_log[-1] if self.matcher.work_log else 0
+        self.metrics.counters["updates"].increment()
+        self.metrics.counters["inserts" if op == "insert" else "deletes"].increment()
+        if meter is not None:
             # One rebuild step is non-interruptible: a single pumped
             # chunk may run an augmentation search (≤ 64·Δ ops) plus a
             # stage-boundary vertex sweep (≤ n ops) before yielding —
@@ -260,13 +276,6 @@ class Session:
                 ops, self.work_budget,
                 slack=64 * self.delta + self.num_vertices,
             ))
-        self.seq += 1
-        if self.journal is not None:
-            self.journal.record(self.seq, op, u, v)
-        self._advance_certificate(op, u, v)
-        work = self.matcher.work_log[-1] if self.matcher.work_log else 0
-        self.metrics.counters["updates"].increment()
-        self.metrics.counters["inserts" if op == "insert" else "deletes"].increment()
         return {"seq": self.seq, "op": op, "work": int(work)}
 
     def flush_journal(self) -> None:
@@ -320,42 +329,50 @@ class Session:
     def fingerprint(self) -> str:
         """SHA-256 digest of the session's full replayable state.
 
-        Covers the output matching (mate array bytes), the maintained
-        sparsifier (sorted edges and per-vertex marks), the applied
-        sequence number, and the backend name — two sessions agree on
-        this hex string iff replay reproduced the state byte-for-byte.
+        Covers the backend name, the applied sequence number, the vertex
+        count, the output matching (mate array bytes) and the sorted
+        live-graph edges — two sessions agree on this hex string iff
+        replay reproduced the state byte-for-byte.
         """
         digest = sha256()
         digest.update(f"{self.backend}/{self.seq}/{self.num_vertices}".encode())
         digest.update(self.matching.mate.tobytes())
-        for u, v in sorted(self.sparsifier.edges()):
+        for u, v in sorted(self.matcher.graph.edges()):
             digest.update(f"e{u},{v};".encode())
-        for v in range(self.num_vertices):
-            marks = ",".join(str(m) for m in sorted(self.sparsifier.marks(v)))
-            digest.update(f"m{v}:{marks};".encode())
         return digest.hexdigest()
 
     def rng_fingerprints(self) -> tuple[RngFingerprint, ...]:
-        """Draw-count fingerprints of the session's child streams.
+        """Draw-count fingerprint of the backend's stream.
 
-        Empty unless ``REPRO_RNG_SANITIZE=1`` wrapped the streams at
+        Empty unless ``REPRO_RNG_SANITIZE=1`` wrapped the stream at
         construction; the replay contract compares these to assert the
         replayed session consumed the same randomness.
         """
-        return tuple(
-            child.fingerprint() for child in self._child_rngs
-            if isinstance(child, SanitizedGenerator)
-        )
+        if isinstance(self._matcher_rng, SanitizedGenerator):
+            return (self._matcher_rng.fingerprint(),)
+        return ()
+
+    def sample_sparsifier(self) -> SparsifierResult:
+        """A Δ-sample G_Δ of the live graph, drawn on demand.
+
+        The generator is rebuilt from the session's RngSpec with spawn
+        key ``+ (0, seq)``: the same ``seq`` always yields the same
+        sample, and no stream the backend or the replay contract counts
+        is touched.
+        """
+        spec = self.rng_spec
+        rng = rng_from_spec(replace(spec, spawn_key=spec.spawn_key + (0, self.seq)))
+        return build_sparsifier(self.matcher.graph.snapshot(), self.delta, rng=rng)
 
     def snapshot_payload(self) -> dict:
         """JSON-ready ``snapshot`` response: graph + G_Δ + fingerprint."""
+        sample = self.sample_sparsifier().subgraph
         return {
             "num_vertices": self.num_vertices,
             "seq": self.seq,
             "graph_edges": [[int(u), int(v)]
-                            for u, v in sorted(self.sparsifier.graph.edges())],
-            "sparsifier_edges": [[int(u), int(v)]
-                                 for u, v in sorted(self.sparsifier.edges())],
+                            for u, v in sorted(self.matcher.graph.edges())],
+            "sparsifier_edges": sorted(sample.edge_array().tolist()),
             "fingerprint": self.fingerprint(),
         }
 
@@ -376,8 +393,7 @@ class Session:
             ),
             "certified_factor": self.certified_factor(),
             "matching_size": self.matching.size,
-            "graph_edges": self.sparsifier.graph.num_edges,
-            "sparsifier_edges": len(self.sparsifier.edges()),
+            "graph_edges": self.matcher.graph.num_edges,
         }
         payload.update(self.metrics.snapshot())
         return payload

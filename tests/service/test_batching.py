@@ -34,7 +34,7 @@ class TestSubmit:
         session, record = run(scenario())
         assert record == {"seq": 1, "op": "insert", "work": record["work"]}
         assert session.seq == 1
-        assert session.sparsifier.graph.has_edge(0, 1)
+        assert session.matcher.graph.has_edge(0, 1)
 
     def test_update_error_propagates(self):
         async def scenario():
@@ -100,7 +100,7 @@ class TestWorkerRobustness:
 
         session, record = run(scenario())
         assert record["seq"] == 1
-        assert session.sparsifier.graph.has_edge(2, 3)
+        assert session.matcher.graph.has_edge(2, 3)
 
     def test_journal_flush_error_does_not_wedge_submitters(self):
         async def scenario():
@@ -163,8 +163,8 @@ class TestWorkerRobustness:
         assert outcomes[1]["error"] == "bad-update"
         assert "error" not in outcomes[2]
         assert session.seq == 2
-        assert session.sparsifier.graph.has_edge(0, 1)
-        assert session.sparsifier.graph.has_edge(2, 3)
+        assert session.matcher.graph.has_edge(0, 1)
+        assert session.matcher.graph.has_edge(2, 3)
 
     def test_batch_admission_is_all_or_nothing(self):
         async def scenario():
@@ -195,4 +195,4 @@ class TestWorkerRobustness:
         session, outcomes = run(scenario())
         # Only valid if applied strictly in order across batch boundaries.
         assert [outcome["seq"] for outcome in outcomes] == [1, 2, 3, 4, 5]
-        assert session.sparsifier.graph.has_edge(0, 1)
+        assert session.matcher.graph.has_edge(0, 1)

@@ -1,10 +1,14 @@
 """Tests for the replay journal: format, fault tolerance, determinism."""
 
 import json
+from hashlib import sha256
+from pathlib import Path
 
 import pytest
 
 from repro.contracts import ContractViolation, check_replay_sessions
+from repro.instrument import workmeter
+from repro.service import session as session_module
 from repro.service.journal import (
     JOURNAL_FORMAT,
     JournalError,
@@ -12,7 +16,7 @@ from repro.service.journal import (
     read_journal,
     replay_journal,
 )
-from repro.service.session import Session
+from repro.service.session import BACKENDS, Session
 
 pytestmark = pytest.mark.fast
 
@@ -21,10 +25,25 @@ UPDATES = [("insert", 0, 1), ("insert", 1, 2), ("insert", 2, 3),
            ("delete", 0, 1), ("insert", 0, 7)]
 
 
-def record_session(path, seed=3, updates=UPDATES):
+#: Journals written by version 1.8.0, whose sessions still kept their own
+#: sparsifier, with the sha256 of the final mate array each replays to.
+#: The journal format did not change, so they must still replay to
+#: exactly these matchings.
+FIXTURES = Path(__file__).parent / "fixtures" / "journals"
+JOURNALS_1_8_0 = {
+    "v1.8.0-lazy-rebuild.jsonl":
+        "85db0f810c357733621bcbfc7cad727785c70da8e837c91f430c1dc158dad15a",
+    "v1.8.0-oblivious.jsonl":
+        "8cf635dc6f2dca941c7adbd6d1f7c1c26ae54edab6dd3376b36eb17274b844f2",
+    "v1.8.0-baseline.jsonl":
+        "ef25a4321ae777187ff781a938623cc219a267705de2f7e2a51bb31a7bffa5dc",
+}
+
+
+def record_session(path, seed=3, updates=UPDATES, backend="lazy_rebuild"):
     session = Session(
         "journal-test", num_vertices=8, beta=1, epsilon=0.4,
-        seed=seed, journal=ReplayJournal(path),
+        backend=backend, seed=seed, journal=ReplayJournal(path),
     )
     for op, u, v in updates:
         session.apply(op, u, v)
@@ -127,21 +146,24 @@ class TestFaults:
 
 
 class TestReplay:
-    def test_replay_is_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_replay_is_byte_identical(self, tmp_path, backend):
         path = tmp_path / "s.jsonl"
-        recorded = record_session(path)
+        recorded = record_session(path, backend=backend)
         replayed = replay_journal(path)
+        assert replayed.backend == backend
         assert replayed.seq == recorded.seq
         assert (replayed.matching.mate.tobytes()
                 == recorded.matching.mate.tobytes())
         assert replayed.fingerprint() == recorded.fingerprint()
         check_replay_sessions(recorded, replayed)
 
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_replay_under_sanitizer_checks_draw_counts(self, tmp_path,
-                                                       monkeypatch):
+                                                       monkeypatch, backend):
         monkeypatch.setenv("REPRO_RNG_SANITIZE", "1")
         path = tmp_path / "s.jsonl"
-        recorded = record_session(path)
+        recorded = record_session(path, backend=backend)
         replayed = replay_journal(path)
         assert recorded.rng_fingerprints() != ()
         check_replay_sessions(recorded, replayed)
@@ -158,7 +180,7 @@ class TestReplay:
         record_session(path)
         partial = replay_journal(path, upto=2)
         assert partial.seq == 2
-        assert sorted(partial.sparsifier.graph.edges()) == [(0, 1), (1, 2)]
+        assert sorted(partial.matcher.graph.edges()) == [(0, 1), (1, 2)]
 
     def test_replay_bad_header_fields(self, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -170,3 +192,50 @@ class TestReplay:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(JournalError, match="bad header fields"):
             replay_journal(path)
+
+
+class TestJournalsFrom180:
+    @pytest.mark.parametrize("name", sorted(JOURNALS_1_8_0))
+    def test_replays_to_the_recorded_matching(self, name):
+        path = FIXTURES / name
+        header, updates = read_journal(path)
+        assert header["format"] == JOURNAL_FORMAT
+        replayed = replay_journal(path)
+        assert replayed.seq == len(updates) == 400
+        digest = sha256(replayed.matching.mate.tobytes()).hexdigest()
+        assert digest == JOURNALS_1_8_0[name]
+        check_replay_sessions(replayed, replay_journal(path))
+
+
+class TestWorkAudit:
+    def test_cap_violation_raises_after_journaling(self, tmp_path,
+                                                   monkeypatch):
+        fail_at = 4
+        calls = []
+
+        def failing_check(ops, budget_chunks, **kwargs):
+            calls.append(ops)
+            if len(calls) == fail_at:
+                raise ContractViolation("forced work-cap violation")
+            return 0.0
+
+        monkeypatch.setenv("REPRO_WORK_AUDIT", "1")
+        monkeypatch.setattr(session_module, "check_work_budget",
+                            failing_check)
+        path = tmp_path / "s.jsonl"
+        with workmeter.audit():
+            live = Session("audit", num_vertices=8, beta=1, epsilon=0.4,
+                           seed=3, journal=ReplayJournal(path))
+            for k, (op, u, v) in enumerate(UPDATES, start=1):
+                if k == fail_at:
+                    with pytest.raises(ContractViolation):
+                        live.apply(op, u, v)
+                else:
+                    live.apply(op, u, v)
+            live.flush_journal()
+        assert live.seq == len(UPDATES)
+        assert live.metrics.counters.snapshot()["updates"] == len(UPDATES)
+        monkeypatch.delenv("REPRO_WORK_AUDIT")
+        replayed = replay_journal(path)
+        assert replayed.fingerprint() == live.fingerprint()
+        check_replay_sessions(live, replayed)

@@ -1,0 +1,90 @@
+"""Served-behaviour oracle: the mate array after every update, pinned.
+
+For each backend in ``BACKENDS`` a seeded session is driven through two
+update streams on a union of two cliques whose degrees exceed the
+matcher's Δ, so the rebuilds really sample:
+
+* ``oblivious`` — a shuffled prefill of every clique edge, then a
+  pre-generated :class:`ObliviousAdversary` stream;
+* ``adaptive`` — the same prefill, then an :class:`AdaptiveAdversary`
+  that watches the served matching and deletes matched edges.
+
+The sha256 over the mate-array bytes after every single update is
+pinned below.  Refactors of the session or the matchers must leave
+these digests unchanged: they are the proof that every matching a
+client could have observed stayed byte-for-byte the same.
+"""
+
+from hashlib import sha256
+
+import numpy as np
+import pytest
+
+from repro.dynamic.adversaries import AdaptiveAdversary, ObliviousAdversary
+from repro.graphs.generators import clique_union
+from repro.service.session import BACKENDS, Session
+
+#: Two K_46: degree 45 exceeds the matcher's Δ = 42 at β = 1, ε = 0.9.
+NUM_CLIQUES, CLIQUE_SIZE = 2, 46
+BETA, EPSILON = 1, 0.9
+SESSION_SEED, STREAM_SEED = 5, 11
+ADVERSARY_STEPS = 900
+
+EXPECTED = {
+    ("lazy_rebuild", "oblivious"):
+        "9b8998e470511f4a0cd8b5640ee312f881282dbde71fa631d89450a4416ff56c",
+    ("lazy_rebuild", "adaptive"):
+        "9dcab34119a2e85dd4e4588cb5fc12eb921a55d96c83292dcde6ce90512bc4ec",
+    ("oblivious", "oblivious"):
+        "3fd85d14b870efb7a3598e0f09724d64eb8f6bb5297ae9ca1c9e966c8dc6e2f2",
+    ("oblivious", "adaptive"):
+        "61403398db0947b3b6a89ce06390facf33a441b187dd1414b96a95b85ac6d9d6",
+    ("baseline", "oblivious"):
+        "ec0c374df25e4429f4eee89868843f07ec37292e9c7c772caf8165b82dc386f3",
+    ("baseline", "adaptive"):
+        "2560d8fa36bd8f09651af97bf403d8946a966a8e593854376ac8c03d6b312339",
+}
+
+
+def _universe() -> list[tuple[int, int]]:
+    edges = clique_union(NUM_CLIQUES, CLIQUE_SIZE).edge_array()
+    return [(int(u), int(v)) for u, v in edges]
+
+
+def mate_digest(backend: str, stream: str) -> str:
+    """sha256 over the mate array after each update of the stream."""
+    universe = _universe()
+    session = Session("oracle", NUM_CLIQUES * CLIQUE_SIZE, BETA, EPSILON,
+                      backend=backend, seed=SESSION_SEED)
+    digest = sha256()
+
+    def apply(op: str, u: int, v: int) -> None:
+        session.apply(op, u, v)
+        digest.update(session.matching.mate.tobytes())
+
+    rng = np.random.default_rng(STREAM_SEED)
+    for i in rng.permutation(len(universe)).tolist():
+        apply("insert", *universe[i])
+    if stream == "oblivious":
+        adversary = ObliviousAdversary(universe, rng=rng)
+        adversary.preload(universe)
+        for update in adversary.stream(ADVERSARY_STEPS):
+            apply(update.op, update.u, update.v)
+    else:
+        adversary = AdaptiveAdversary(universe, lambda: session.matching,
+                                      rng=rng)
+        adversary.preload(universe)
+        for _ in range(ADVERSARY_STEPS):
+            update = adversary.next_update()
+            apply(update.op, update.u, update.v)
+    assert session.seq == len(universe) + ADVERSARY_STEPS
+    return digest.hexdigest()
+
+
+def test_every_backend_is_pinned():
+    assert {backend for backend, _ in EXPECTED} == set(BACKENDS)
+
+
+@pytest.mark.parametrize("backend,stream", sorted(EXPECTED))
+def test_mate_array_digest(backend, stream):
+    assert mate_digest(backend, stream) == EXPECTED[(backend, stream)]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.contracts import check_sparsifier_degree
 from repro.service.session import BACKENDS, Session, UpdateError, theorem_work_budget
 
 pytestmark = pytest.mark.fast
@@ -15,6 +16,16 @@ def make_session(backend="lazy_rebuild", seed=0, **kwargs):
     kwargs.setdefault("beta", 1)
     kwargs.setdefault("epsilon", 0.4)
     return Session("t", backend=backend, seed=seed, **kwargs)
+
+
+def dense_session(size=30):
+    """A K_size session: degrees exceed Δ, so G_Δ samples are proper."""
+    session = make_session(backend="baseline", num_vertices=size)
+    assert session.delta < size - 1
+    for u in range(size):
+        for v in range(u + 1, size):
+            session.apply("insert", u, v)
+    return session
 
 
 class TestWorkBudget:
@@ -127,8 +138,14 @@ class TestDeterminism:
         monkeypatch.setenv("REPRO_RNG_SANITIZE", "1")
         session = make_session()
         prints = session.rng_fingerprints()
-        assert len(prints) == 2  # sparsifier stream + matcher stream
-        assert prints[0].stream != prints[1].stream
+        assert len(prints) == 1  # the backend's stream only
+        assert prints[0].stream.endswith("/1")
+
+    def test_session_holds_one_graph(self):
+        session = make_session()
+        session.apply("insert", 0, 1)
+        assert not hasattr(session, "sparsifier")
+        assert session.matcher.graph.has_edge(0, 1)
 
 
 class TestPayloads:
@@ -151,6 +168,35 @@ class TestPayloads:
             map(tuple, snap["graph_edges"])
         )
         assert snap["fingerprint"] == session.fingerprint()
+
+    def test_snapshot_sample_is_a_function_of_seq(self):
+        session = dense_session()
+        first = session.snapshot_payload()
+        again = session.snapshot_payload()
+        assert first["sparsifier_edges"] == again["sparsifier_edges"]
+        assert first["sparsifier_edges"] != first["graph_edges"]
+        session.apply("delete", 0, 1)
+        later = session.snapshot_payload()
+        assert later["seq"] == first["seq"] + 1
+        assert set(map(tuple, later["sparsifier_edges"])) <= set(
+            map(tuple, later["graph_edges"])
+        )
+
+    def test_snapshot_sample_obeys_the_marking_law(self):
+        session = dense_session()
+        sample = session.sample_sparsifier()
+        check_sparsifier_degree(sample, session.delta,
+                                graph=session.matcher.graph.snapshot())
+
+    @pytest.mark.parametrize("sanitize", ["0", "1"])
+    def test_snapshot_changes_no_fingerprint(self, monkeypatch, sanitize):
+        monkeypatch.setenv("REPRO_RNG_SANITIZE", sanitize)
+        session = dense_session()
+        before = (session.fingerprint(), session.rng_fingerprints())
+        snap = session.snapshot_payload()
+        assert snap["fingerprint"] == before[0]
+        assert (session.fingerprint(), session.rng_fingerprints()) == before
+        assert len(before[1]) == (1 if sanitize == "1" else 0)
 
     def test_stats_payload(self):
         session = make_session()
