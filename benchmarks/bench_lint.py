@@ -35,18 +35,16 @@ from repro.lint.runner import discover_files, lint_paths
 from repro.lint.rules import RULES, RuleContext
 from repro.lint.violations import collect_pragmas, is_suppressed
 
-#: The rules that exist in both modes (whole-program rules — flow and
-#: concurrency — have no per-rule-walk form to compare against).
-_SYNTACTIC = [
-    rule for rule in RULES.values()
-    if not rule.flow and not rule.concurrency and not rule.perf
-]
+#: The rules that exist in both modes (whole-program rules — the flow,
+#: async and perf families — have no per-rule-walk form to compare
+#: against).
+_SYNTACTIC = [rule for rule in RULES.values() if rule.family == "syntactic"]
 
 #: The async-concurrency rules, timed as their own workload.
-_ASYNC = [rule for rule in RULES.values() if rule.concurrency]
+_ASYNC = [rule for rule in RULES.values() if rule.family == "async"]
 
 #: The performance rules (R15-R19), timed as their own workload.
-_PERF = [rule for rule in RULES.values() if rule.perf]
+_PERF = [rule for rule in RULES.values() if rule.family == "perf"]
 
 
 def _timed(fn, *args, **kwargs):

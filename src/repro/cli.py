@@ -8,9 +8,7 @@ Usage::
     repro-experiments --list          # enumerate experiment ids
     repro-experiments --version       # installed package version
     repro-experiments lint src tests  # determinism/invariant linter
-    repro-experiments rng-audit src   # RNG stream-flow audit (R6-R9)
-    repro-experiments race-audit src/repro/service  # async audit (R10-R14)
-    repro-experiments perf-audit src/repro          # perf audit (R15-R19)
+    repro-experiments lint --select R15,R16,R17,R18,R19 src  # perf rules
     repro-experiments serve --port 8765 --journal-dir journals
     repro-experiments serve --port 8765 --shards 4 --journal-dir journals
     repro-experiments replay journals/mysession.jsonl --json
@@ -296,18 +294,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.lint.cli import main as lint_main
 
         return lint_main(argv[1:])
-    if argv and argv[0] == "rng-audit":
-        from repro.lint.cli import audit_main
-
-        return audit_main(argv[1:])
-    if argv and argv[0] == "race-audit":
-        from repro.lint.cli import race_audit_main
-
-        return race_audit_main(argv[1:])
-    if argv and argv[0] == "perf-audit":
-        from repro.lint.cli import perf_audit_main
-
-        return perf_audit_main(argv[1:])
     if argv and argv[0] == "serve":
         return _serve_main(argv[1:])
     if argv and argv[0] == "replay":
@@ -327,8 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         "experiment",
         nargs="?",
         help=f"experiment id ({id_range}), 'all', or the 'lint' / "
-             "'rng-audit' / 'race-audit' / 'perf-audit' / 'serve' / "
-             "'replay' / 'stats' subcommands",
+             "'serve' / 'replay' / 'stats' subcommands",
     )
     parser.add_argument(
         "--list", action="store_true", help="list available experiments"

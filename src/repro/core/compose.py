@@ -49,7 +49,7 @@ def composed_sparsifier(
     graph: AdjacencyArrayGraph,
     beta: int,
     epsilon: float,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     policy: DeltaPolicy | None = None,
     rescale: bool = True,
     *,

@@ -115,7 +115,7 @@ def empirical_exact_preservation(
     half: int,
     delta: int,
     trials: int,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     check_full_mcm: bool = False,
     *,
     seed: int | None = None,

@@ -179,7 +179,7 @@ def _build_vectorized(
 def build_sparsifier(
     graph: AdjacencyArrayGraph,
     delta: int,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     sampler: SamplerName = "pos_array",
     probe_counter: Counter | None = None,
     materialize_marks: bool = True,
@@ -197,8 +197,8 @@ def build_sparsifier(
         :mod:`repro.core.delta` to derive it from β and ε).
     rng, seed:
         Uniform randomness keywords — an existing generator via ``rng=``
-        or an integer via ``seed=`` (not both; integers passed via
-        ``rng=`` still work with a :class:`DeprecationWarning`).
+        or an integer via ``seed=`` (not both; an integer via ``rng=``
+        or a generator via ``seed=`` raises :class:`TypeError`).
         Per-vertex choices are drawn independently, matching
         Observation 2.9's independence requirement.
     sampler:

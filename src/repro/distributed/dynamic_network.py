@@ -58,7 +58,7 @@ class DynamicDistributedSparsifier:
         self,
         num_vertices: int,
         delta: int,
-        rng: np.random.Generator | int | None = None,
+        rng: np.random.Generator | None = None,
         *,
         seed: int | None = None,
     ) -> None:

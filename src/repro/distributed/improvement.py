@@ -106,7 +106,7 @@ class AugmentingPathEliminationProtocol(Protocol):
         self,
         k: int,
         initial_mate: dict[int, int],
-        rng: np.random.Generator | int | None = None,
+        rng: np.random.Generator | None = None,
         *,
         seed: int | None = None,
     ) -> None:

@@ -45,7 +45,7 @@ class RandomizedMatchingProtocol(Protocol):
 
     def __init__(
         self,
-        rng: np.random.Generator | int | None = None,
+        rng: np.random.Generator | None = None,
         *,
         seed: int | None = None,
     ) -> None:

@@ -74,7 +74,7 @@ def _run_stages(
     graph: AdjacencyArrayGraph,
     beta: int,
     epsilon: float,
-    rng: np.random.Generator | int | None,
+    rng: np.random.Generator | None,
     policy: DeltaPolicy | None,
     improve: bool,
     max_rounds: int,
@@ -131,7 +131,7 @@ def distributed_approx_matching(
     graph: AdjacencyArrayGraph,
     beta: int,
     epsilon: float,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     policy: DeltaPolicy | None = None,
     max_rounds: int = 10_000,
     *,
@@ -151,7 +151,7 @@ def distributed_baseline_matching(
     graph: AdjacencyArrayGraph,
     beta: int,
     epsilon: float,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     policy: DeltaPolicy | None = None,
     max_rounds: int = 10_000,
     *,
@@ -173,7 +173,7 @@ def reduce_with_sparsifier(
     beta: int,
     epsilon: float,
     protocol_factory,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     policy: DeltaPolicy | None = None,
     max_rounds: int = 10_000,
     *,

@@ -48,7 +48,7 @@ class SparsifierProtocol(Protocol):
     def __init__(
         self,
         delta: int,
-        rng: np.random.Generator | int | None = None,
+        rng: np.random.Generator | None = None,
         *,
         seed: int | None = None,
     ) -> None:
@@ -116,7 +116,7 @@ class BroadcastSparsifierProtocol(Protocol):
     def __init__(
         self,
         delta: int,
-        rng: np.random.Generator | int | None = None,
+        rng: np.random.Generator | None = None,
         *,
         seed: int | None = None,
     ) -> None:

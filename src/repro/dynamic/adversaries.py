@@ -87,7 +87,7 @@ class ObliviousAdversary:
         self,
         universe: Iterable[tuple[int, int]],
         delete_probability: float = 0.3,
-        rng: np.random.Generator | int | None = None,
+        rng: np.random.Generator | None = None,
         *,
         seed: int | None = None,
     ) -> None:
@@ -147,7 +147,7 @@ class AdaptiveAdversary:
         universe: Iterable[tuple[int, int]],
         observe: Callable[[], Matching],
         attack_probability: float = 0.5,
-        rng: np.random.Generator | int | None = None,
+        rng: np.random.Generator | None = None,
         *,
         seed: int | None = None,
     ) -> None:

@@ -48,7 +48,7 @@ class DynamicSparsifier:
         self,
         num_vertices: int,
         delta: int,
-        rng: np.random.Generator | int | None = None,
+        rng: np.random.Generator | None = None,
         *,
         seed: int | None = None,
     ) -> None:

@@ -139,7 +139,7 @@ def incremental_rebuild(
     graph: DynamicGraph,
     delta: int,
     sweeps: int,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     chunk: int = DEFAULT_CHUNK,
     search_cap_factor: int = 64,
     *,

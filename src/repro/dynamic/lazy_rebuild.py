@@ -202,7 +202,7 @@ class LazyRebuildMatching(WindowedRebuild):
         num_vertices: int,
         beta: int,
         epsilon: float,
-        rng: np.random.Generator | int | None = None,
+        rng: np.random.Generator | None = None,
         policy: DeltaPolicy | None = None,
         chunk: int = DEFAULT_CHUNK,
         max_chunks_per_update: int | None = None,

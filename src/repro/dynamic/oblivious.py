@@ -45,7 +45,7 @@ class ObliviousDynamicMatching(WindowedRebuild):
         num_vertices: int,
         beta: int,
         epsilon: float,
-        rng: np.random.Generator | int | None = None,
+        rng: np.random.Generator | None = None,
         policy: DeltaPolicy | None = None,
         chunk_edges: int = 256,
         *,

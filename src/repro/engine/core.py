@@ -207,7 +207,7 @@ class TrialTask:
 
 def fanout(
     fn: Callable[..., Any],
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     kwargs_list: Sequence[dict] = (),
     *,
     seed: int | None = None,

@@ -82,7 +82,7 @@ def replicate_quality(
     delta: int,
     epsilon: float,
     trials: int,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     *,
     seed: int | None = None,
     workers: int | str = 1,

@@ -21,7 +21,7 @@ def unit_disk_graph(
     num_points: int,
     area_side: float,
     radius: float = 1.0,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     *,
     seed: int | None = None,
 ) -> tuple[AdjacencyArrayGraph, np.ndarray]:
@@ -53,7 +53,7 @@ def quasi_unit_disk_graph(
     area_side: float,
     inner_radius: float,
     outer_radius: float,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     *,
     seed: int | None = None,
 ) -> tuple[AdjacencyArrayGraph, np.ndarray]:

@@ -21,7 +21,7 @@ def interval_graph(
     num_intervals: int,
     length: float,
     span: float,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     *,
     seed: int | None = None,
 ) -> AdjacencyArrayGraph:
@@ -75,7 +75,7 @@ def bounded_diversity_graph(
     num_cliques: int,
     clique_size: int,
     diversity: int,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     *,
     seed: int | None = None,
 ) -> AdjacencyArrayGraph:

@@ -45,7 +45,7 @@ def line_graph(
 def random_line_graph(
     host_vertices: int,
     host_edge_probability: float,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     *,
     seed: int | None = None,
 ) -> AdjacencyArrayGraph:

@@ -19,7 +19,7 @@ from repro.instrument.rng import resolve_rng
 def erdos_renyi(
     n: int,
     p: float,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     *,
     seed: int | None = None,
 ) -> AdjacencyArrayGraph:
@@ -39,7 +39,7 @@ def random_bipartite(
     left: int,
     right: int,
     p: float,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     *,
     seed: int | None = None,
 ) -> AdjacencyArrayGraph:
@@ -61,7 +61,7 @@ def random_bipartite(
 
 def claw_free_complement(
     n: int,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     *,
     seed: int | None = None,
 ) -> AdjacencyArrayGraph:
@@ -91,7 +91,7 @@ def beta_controlled_graph(
     num_blocks: int,
     block_size: int,
     beta: int,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     *,
     seed: int | None = None,
 ) -> AdjacencyArrayGraph:

@@ -178,7 +178,7 @@ def neighborhood_independence_upper(graph: AdjacencyArrayGraph) -> int:
 
 def neighborhood_independence_sampled(
     graph: AdjacencyArrayGraph,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     vertex_samples: int = 32,
     max_neighborhood: int = 256,
     *,

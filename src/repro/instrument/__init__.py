@@ -5,10 +5,8 @@ messages, rounds, work units) or a *ratio* (approximation factors).  This
 package provides the shared counting and randomness infrastructure so that
 experiments are reproducible bit-for-bit given a seed.
 
-The deprecated ``derive_rng`` shim is intentionally *not* re-exported
-here: the only remaining spelling is ``repro.instrument.rng.derive_rng``
-(a warning-emitting alias for pre-1.3 callers), and a lint-suite test
-asserts no module in the package references it.
+Randomized entry points resolve the uniform ``seed=``/``rng=`` pair
+with :func:`~repro.instrument.rng.resolve_rng`.
 """
 
 from repro.instrument.counters import Counter, CounterSet

@@ -12,8 +12,7 @@ Three layers live here:
 
 * **Resolution** — :func:`resolve_rng` (the uniform ``seed=``/``rng=``
   pair) and :func:`spawn_rngs` (independent children via numpy's
-  spawn-key mechanism).  :func:`derive_rng` is a deprecated alias kept
-  for pre-1.3 callers.
+  spawn-key mechanism).
 * **Process-boundary specs** — :class:`RngSpec` /
   :func:`rng_spec` / :func:`rng_from_spec` capture a generator's
   *identity* (bit-generator class, entropy, spawn key) as a tiny
@@ -32,7 +31,6 @@ Three layers live here:
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,30 +56,9 @@ def rng_sanitize_enabled() -> bool:
     return os.environ.get("REPRO_RNG_SANITIZE", "") == "1"
 
 
-def derive_rng(seed_or_rng: int | np.random.Generator | None) -> np.random.Generator:
-    """Deprecated: return a :class:`numpy.random.Generator` for the input.
-
-    .. deprecated:: 1.3
-        Use :func:`resolve_rng` with the explicit ``seed=``/``rng=``
-        keywords.  ``derive_rng``'s single catch-all parameter silently
-        aliases a passed generator, which is exactly the stream-sharing
-        pattern rules R6-R8 exist to catch — the replacement makes the
-        caller say which of the two things it means.
-    """
-    warnings.warn(
-        "derive_rng is deprecated; call resolve_rng(seed=...) for an "
-        "integer seed or resolve_rng(rng=...) to thread a Generator",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
 def resolve_rng(
     seed: int | None = None,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     *,
     owner: str = "this function",
 ) -> np.random.Generator:
@@ -90,14 +67,10 @@ def resolve_rng(
     The public surface accepts both keywords on every randomized entry
     point: ``seed`` is an integer (or ``None`` for fresh OS entropy) and
     ``rng`` is an existing :class:`numpy.random.Generator` to thread
-    through a pipeline.  Passing both is an error.
-
-    Two legacy call shapes from the pre-1.1 surface keep working, each
-    with a :class:`DeprecationWarning`:
-
-    * an **integer** passed via ``rng=`` (use ``seed=`` instead);
-    * a **generator** passed via ``seed=`` (use ``rng=`` instead —
-      the old ``RandomSparsifier(beta, eps, seed=gen)`` shape).
+    through a pipeline.  Passing both is an error, and so is passing a
+    value through the wrong keyword (an integer via ``rng=`` or a
+    generator via ``seed=``): each raises :class:`TypeError` naming the
+    right keyword.
 
     Parameters
     ----------
@@ -106,28 +79,22 @@ def resolve_rng(
     rng:
         Existing generator (returned unchanged), or ``None``.
     owner:
-        Name of the calling API, used in error/warning messages.
+        Name of the calling API, used in error messages.
     """
     if seed is not None and rng is not None:
         raise ValueError(f"{owner}: pass either seed= or rng=, not both")
     if rng is not None:
-        if isinstance(rng, np.random.Generator):
-            return rng
-        warnings.warn(
-            f"{owner}: passing an integer seed via rng= is deprecated; "
-            "use the seed= keyword instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return np.random.default_rng(rng)
+        if not isinstance(rng, np.random.Generator):
+            raise TypeError(
+                f"{owner}: rng= takes a numpy.random.Generator, got "
+                f"{type(rng).__name__}; pass an integer seed via seed="
+            )
+        return rng
     if isinstance(seed, np.random.Generator):
-        warnings.warn(
-            f"{owner}: passing a Generator via seed= is deprecated; "
-            "use the rng= keyword instead",
-            DeprecationWarning,
-            stacklevel=3,
+        raise TypeError(
+            f"{owner}: seed= takes an integer, got a Generator; thread "
+            "a Generator via rng="
         )
-        return seed
     return np.random.default_rng(seed)
 
 

@@ -29,8 +29,8 @@ consumes the per-update totals to verify the Theorem 3.5 cap against
 
 Enable ambiently with ``REPRO_WORK_AUDIT=1`` (sessions call
 :func:`enable_from_env`), or scoped with the :func:`audit` context
-manager.  ``repro-experiments perf-audit --report`` drives a synthetic
-update stream under :func:`audit` and writes the ranked hotspot table.
+manager.  ``benchmarks/hotspots.py`` drives a synthetic update stream
+under :func:`audit` and writes the ranked hotspot table.
 """
 
 from __future__ import annotations

@@ -1,34 +1,33 @@
-"""Determinism & invariant linter for the reproduction (rules R1-R9).
+"""Determinism & invariant linter for the reproduction (rules R1-R19).
 
 The paper's guarantees are only reproducible if every random bit flows
 through the package's ``seed=``/``rng=`` convention and every engine
 trial stays byte-deterministic.  This package enforces those properties
 mechanically with a stdlib-``ast`` static analysis:
 
-* :data:`~repro.lint.rules.RULES` — the rule registry: syntactic rules
-  (R1 global-state randomness, R2 wall-clock reads, R3 engine-task
-  purity, R4 seed/rng signature conformance, R5 order discipline) plus
-  the interprocedural RNG-flow rules (R6 stream reuse, R7 generator
-  escape, R8 process-boundary crossing, R9 draw-order hazard) computed
-  by :mod:`repro.lint.flow` over a whole-program
-  :class:`~repro.lint.callgraph.Program`;
+* :data:`~repro.lint.rules.RULES` — the rule registry, one
+  :class:`~repro.lint.rules.Rule` per code, each tagged with its
+  ``family``:
+
+  - ``syntactic``: R1 global-state randomness, R2 wall-clock reads, R3
+    engine-task purity, R4 seed/rng signature conformance, R5 order
+    discipline;
+  - ``flow``: R6 stream reuse, R7 generator escape, R8 process-boundary
+    crossing, R9 draw-order hazard (:mod:`repro.lint.flow`);
+  - ``async``: R10 interleaving hazard, R11 blocking call in the event
+    loop, R12 lost task, R13 lock/queue discipline, R14 cross-task
+    aliasing (:mod:`repro.lint.async_flow`);
+  - ``perf``: R15 scalar loop over array substrate, R16 quadratic
+    membership, R17 hot-loop allocation, R18 unbounded work path, R19
+    redundant recompute (:mod:`repro.lint.perf_flow`).
+
+  The three whole-program families run over one
+  :class:`~repro.lint.callgraph.Program` per lint run;
 * :func:`~repro.lint.runner.lint_paths` / ``lint_file`` /
   ``lint_source`` — the library entry points;
-* ``repro-experiments lint``, ``repro-experiments rng-audit``, and
-  ``repro-experiments race-audit`` — the CLIs (see
-  :mod:`repro.lint.cli`).
-
-The async-concurrency rules (R10 interleaving hazard, R11 blocking call
-in the event loop, R12 lost task, R13 lock/queue discipline, R14
-cross-task aliasing) are computed by :mod:`repro.lint.async_flow` over
-the same whole-program index and registered alongside R1-R9.
-
-The performance rules (R15 scalar loop over array substrate, R16
-quadratic membership, R17 hot-loop allocation, R18 unbounded work path,
-R19 redundant recompute) are computed by :mod:`repro.lint.perf_flow`
-over the same index with hot-path reachability from the update entry
-points; they are opt-in via ``repro-experiments perf-audit`` and
-excluded from the default ``lint`` run.
+* ``repro-experiments lint`` — the CLI (see :mod:`repro.lint.cli`).
+  It runs R1-R14 by default; the perf rules run when ``--select``
+  names them.
 
 Suppress a finding per line with ``# repro-lint: ignore[R4]`` (or bare
 ``ignore`` for all rules), or a whole file with
@@ -37,9 +36,6 @@ catalogue.
 """
 
 from repro.lint.rules import (
-    ASYNC_RULES,
-    FLOW_RULES,
-    PERF_RULES,
     RULES,
     Rule,
     RuleContext,
@@ -60,9 +56,6 @@ from repro.lint.violations import (
 )
 
 __all__ = [
-    "ASYNC_RULES",
-    "FLOW_RULES",
-    "PERF_RULES",
     "RULES",
     "Rule",
     "RuleContext",

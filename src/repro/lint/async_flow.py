@@ -61,7 +61,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.lint.callgraph import ModuleInfo, Program
+from repro.lint.callgraph import ModuleInfo, Program, _dotted
 from repro.lint.violations import Violation
 
 #: Rule codes computed by this pass, in report order.
@@ -107,18 +107,6 @@ _QUEUE_FACTORY_TAILS = frozenset({"Queue", "LifoQueue", "PriorityQueue"})
 
 #: Methods that resolve a future.
 _FUTURE_RESOLVERS = frozenset({"set_result", "set_exception", "cancel"})
-
-
-def _dotted(node: ast.AST) -> str | None:
-    """Render a ``Name``/``Attribute`` chain as ``"a.b.c"``, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 def _is_lockish_name(dotted: str) -> bool:
@@ -1175,27 +1163,3 @@ def analyze_module(program: Program,
         out["R14"].extend(
             _check_r14(path, module, class_name, fndef, module_locks))
     return out
-
-
-def violations_for(ctx, code: str) -> list[Violation]:
-    """Findings of one async rule for a runner ``RuleContext``.
-
-    Mirrors :func:`repro.lint.flow.violations_for`: the module analysis
-    runs once and is cached on the program (under a tuple key, so it
-    cannot collide with the RNG-flow cache's path keys), and a context
-    without a program gets a private single-module one.
-    """
-    program = ctx.program
-    if program is None:
-        program = Program.from_sources({ctx.path: (ctx.tree, ctx.source)})
-    module = program.module_for(ctx.path)
-    if module is None:
-        module = ModuleInfo.build(ctx.path, ctx.tree)
-        program.by_path[ctx.path] = module
-        program.modules.setdefault(module.name, module)
-    key = ("async", ctx.path)
-    cached = program.flow_cache.get(key)
-    if cached is None:
-        cached = analyze_module(program, module)
-        program.flow_cache[key] = cached
-    return cached[code]

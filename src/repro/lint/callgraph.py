@@ -1,10 +1,13 @@
-"""Module index and call-resolution layer for the RNG-flow pass.
+"""Module index, call resolution and pass harness shared by the
+whole-program rules.
 
 The single-file rules R1-R5 see one parsed module at a time; the flow
-rules R6-R9 (:mod:`repro.lint.flow`) need to answer *cross-module*
-questions — "does this imported helper return a live ``Generator``?" —
-before they can track a stream through a function body.  This module
-builds that context:
+rules R6-R9 (:mod:`repro.lint.flow`), the async rules R10-R14
+(:mod:`repro.lint.async_flow`) and the performance rules R15-R19
+(:mod:`repro.lint.perf_flow`) need to answer *cross-module* questions —
+"does this imported helper return a live ``Generator``?", "is this
+function reachable from an update entry point?".  This module builds
+that context:
 
 * :class:`ModuleInfo` — one parsed module plus its import map and the
   function/class definitions it hosts;
@@ -12,7 +15,12 @@ builds that context:
   dotted-name resolution (``np.random.default_rng`` →
   ``numpy.random.default_rng``) and *generator summaries*: the fixpoint
   sets of fully-qualified callables known to return a
-  ``numpy.random.Generator`` (or a list of them).
+  ``numpy.random.Generator`` (or a list of them);
+* :func:`pass_findings` — the one harness every whole-program rule runs
+  through: it runs a pass's ``analyze_module`` once per module and
+  serves each rule code its share of the findings;
+* the AST helpers the rules and passes share (:func:`_dotted`,
+  :func:`_numpy_aliases`, :func:`_is_set_expression`).
 
 Everything here is stdlib-``ast`` only; the analysis never imports the
 code it inspects.
@@ -23,16 +31,17 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import PurePath
-from typing import Iterable
+from typing import Callable, Iterable
+
+from repro.lint.violations import Violation
 
 #: Callables known to return one live ``Generator`` regardless of input.
-#: ``resolve_rng``/``derive_rng`` additionally *alias* a generator passed
-#: in (flow.py special-cases that); listing them here covers the
-#: seed-integer call shapes.
+#: ``resolve_rng`` additionally *aliases* a generator passed in (flow.py
+#: special-cases that); listing it here covers the seed-integer call
+#: shape.
 GEN_RETURNING_BASE = frozenset({
     "numpy.random.default_rng",
     "numpy.random.Generator",
-    "repro.instrument.rng.derive_rng",
     "repro.instrument.rng.resolve_rng",
     "repro.instrument.rng.sanitize_rng",
     "repro.instrument.rng.SanitizedGenerator",
@@ -43,11 +52,37 @@ GENLIST_RETURNING_BASE = frozenset({
     "repro.instrument.rng.spawn_rngs",
 })
 
-#: Annotation spellings recognised as "this parameter is a Generator".
-GENERATOR_ANNOTATIONS = frozenset({
-    "Generator", "np.random.Generator", "numpy.random.Generator",
-    "SanitizedGenerator",
-})
+
+def _dotted(node: ast.AST) -> str | None:
+    """Render a ``Name``/``Attribute`` chain as ``"a.b.c"``, else None."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def _numpy_aliases(nodes: Iterable[ast.AST]) -> set[str]:
+    """Names the ``import`` statements among ``nodes`` bind to numpy."""
+    aliases = {"numpy"}
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy":
+                    aliases.add(alias.asname or "numpy")
+    return aliases
+
+
+def _is_set_expression(node: ast.AST) -> bool:
+    """Whether iterating ``node`` has hash-dependent (set) order."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        return _dotted(node.func) in {"set", "frozenset"}
+    return False
 
 
 def module_name_for_path(path: str) -> str:
@@ -102,7 +137,7 @@ def _import_map(tree: ast.Module, module_name: str) -> dict[str, str]:
 
 @dataclass
 class ModuleInfo:
-    """One parsed module plus the lookup tables the flow pass needs."""
+    """One parsed module plus the lookup tables the passes need."""
 
     path: str
     name: str
@@ -170,8 +205,9 @@ class Program:
             self.by_path[info.path] = info
         self.returns_generator: set[str] = set(GEN_RETURNING_BASE)
         self.returns_generator_list: set[str] = set(GENLIST_RETURNING_BASE)
-        #: flow.py's per-module analysis cache (path -> ModuleFlow).
-        self.flow_cache: dict[str, object] = {}
+        #: Per-module pass results and other whole-program memos, keyed
+        #: by their producer (see :func:`pass_findings`).
+        self.analysis_cache: dict[object, object] = {}
         compute_summaries(self)
 
     @classmethod
@@ -186,6 +222,34 @@ class Program:
         return self.by_path.get(path)
 
 
+#: A pass's entry point: all of its rule codes' findings for one module.
+AnalyzeModule = Callable[[Program, ModuleInfo], dict[str, list[Violation]]]
+
+
+def pass_findings(ctx, analyze_module: AnalyzeModule,
+                  code: str) -> list[Violation]:
+    """Findings of one whole-program rule for a runner ``RuleContext``.
+
+    ``analyze_module`` runs once per module and is cached on the
+    program under its own key, so every rule of one pass shares a single
+    analysis.  A context without an attached program (direct
+    construction) gets a private single-module program.
+    """
+    program = ctx.program
+    if program is None:
+        program = Program.from_sources({ctx.path: (ctx.tree, ctx.source)})
+    module = program.module_for(ctx.path)
+    if module is None:
+        module = ModuleInfo.build(ctx.path, ctx.tree)
+        program.by_path[ctx.path] = module
+        program.modules.setdefault(module.name, module)
+    cache = program.analysis_cache
+    key = (analyze_module, ctx.path)
+    if key not in cache:
+        cache[key] = analyze_module(program, module)
+    return cache[key].get(code, [])
+
+
 def compute_summaries(program: Program, max_rounds: int = 5) -> None:
     """Fixpoint the generator-returning summaries over user functions.
 
@@ -195,8 +259,8 @@ def compute_summaries(program: Program, max_rounds: int = 5) -> None:
     only grow, and call chains deeper than ``max_rounds`` through
     generator-returning helpers do not occur in practice.
     """
-    # Imported here to break the import cycle (flow.py needs Program for
-    # its expression typer).
+    # Imported here to break the import cycle (flow.py imports this
+    # module's helpers).
     from repro.lint import flow
 
     for _ in range(max_rounds):

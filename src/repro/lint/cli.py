@@ -1,4 +1,4 @@
-"""The ``repro-experiments lint`` and ``rng-audit`` subcommands.
+"""The ``repro-experiments lint`` subcommand.
 
 Usage::
 
@@ -7,41 +7,27 @@ Usage::
     repro-experiments lint --format json src     # CI-friendly output
     repro-experiments lint --format github src   # Actions annotations
     repro-experiments lint --select R1,R4 src    # subset of rules
+    repro-experiments lint --select R6,R7,R8,R9 src   # RNG-flow rules
+    repro-experiments lint --select R15,R16,R17,R18,R19 \\
+        --baseline results/perf_baseline.json src     # the perf gate
     repro-experiments lint --explain             # print the rule table
 
-    repro-experiments rng-audit src              # flow rules R6-R9 only
-    repro-experiments race-audit src/repro/service   # async rules R10-R14
-    repro-experiments perf-audit src/repro       # perf rules R15-R19
-    repro-experiments perf-audit --report results/hotspots.json
+The default run covers the correctness rules R1-R14: the syntactic
+rules, the whole-program RNG-flow rules R6-R9 (the static half of the
+``REPRO_RNG_SANITIZE=1`` runtime sanitizer) and the async-concurrency
+rules R10-R14 (the static half of the ``REPRO_ASYNC_SANITIZE=1``
+deterministic-scheduler sanitizer).  The performance rules R15-R19 of
+:mod:`repro.lint.perf_flow` run only when ``--select`` names them;
+their runtime half is ``REPRO_WORK_AUDIT=1``
+(:mod:`repro.instrument.workmeter`).  ``--explain`` prints the rules
+``--select`` names, or the whole catalogue.
 
-``rng-audit`` is the whole-program RNG stream audit: it runs exactly the
-interprocedural flow rules (stream reuse / generator escape /
-process-boundary crossing / draw-order hazard) and nothing else — the
-static half of the ``REPRO_RNG_SANITIZE=1`` runtime sanitizer.  It
-shares the lint machinery, so pragmas, formats, and exit codes behave
-identically.
-
-``race-audit`` is its async-concurrency sibling: exactly the R10-R14
-rules of :mod:`repro.lint.async_flow` (interleaving hazards, blocking
-calls, lost tasks, lock/queue discipline, cross-task aliasing) — the
-static half of the ``REPRO_ASYNC_SANITIZE=1`` deterministic-scheduler
-sanitizer (:mod:`repro.service.sanitizer`).
-
-``perf-audit`` runs the performance rules R15-R19 of
-:mod:`repro.lint.perf_flow` (scalar loops over the array substrate,
-quadratic membership, hot-loop allocation, unbudgeted while loops,
-redundant recompute), with ``--hot-roots`` extending the update entry
-points reachability grows from.  Its runtime half is
-``REPRO_WORK_AUDIT=1`` (:mod:`repro.instrument.workmeter`);
-``--report FILE`` drives a deterministic synthetic session under the
-meter and writes the ranked per-call-site hotspot table.
-
-All four commands share ``--baseline FILE`` / ``--write-baseline FILE``
-(see :mod:`repro.lint.baseline`): a recorded baseline suppresses known
+``--baseline FILE`` / ``--write-baseline FILE`` (see
+:mod:`repro.lint.baseline`): a recorded baseline suppresses known
 findings so CI gates ratchet instead of block.
 
-Exit status: 0 clean, 1 violations found, 2 usage error — so all four
-commands drop straight into CI and pre-commit hooks.
+Exit status: 0 clean, 1 violations found, 2 usage error — so the
+command drops straight into CI and pre-commit hooks.
 """
 
 from __future__ import annotations
@@ -54,13 +40,7 @@ from repro.lint.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.lint.rules import (
-    ASYNC_RULES,
-    FLOW_RULES,
-    PERF_RULES,
-    RULES,
-    Rule,
-)
+from repro.lint.rules import RULES, Rule
 from repro.lint.runner import (
     format_github,
     format_json,
@@ -76,19 +56,23 @@ _FORMATS = {
 }
 
 
-def _explain(rules: dict[str, Rule]) -> str:
+def _explain(rules: list[Rule]) -> str:
     """Render the rule table (kept in sync with docs/LINTING.md)."""
-    width = max(len(rule.title) for rule in rules.values())
+    width = max(len(rule.title) for rule in rules)
     return "\n".join(
         f"{rule.code}  {rule.title:<{width}}  {rule.summary}"
-        for rule in rules.values()
+        for rule in rules
     )
 
 
-def _build_parser(prog: str, description: str,
-                  catalogue: dict[str, Rule]) -> argparse.ArgumentParser:
-    """The shared option surface of ``lint`` and ``rng-audit``."""
-    parser = argparse.ArgumentParser(prog=prog, description=description)
+def main(argv: list[str] | None = None) -> int:
+    """Parse lint arguments, run the selected rules, print the report."""
+    parser = argparse.ArgumentParser(
+        prog="repro-experiments lint",
+        description="AST determinism & invariant linter (rules R1-R14 by "
+                    "default, perf rules R15-R19 via --select; suppress "
+                    "per line with `# repro-lint: ignore[R..]`).",
+    )
     parser.add_argument(
         "paths", nargs="*", default=["src", "tests"],
         help="files or directories to check (default: src tests)",
@@ -100,12 +84,12 @@ def _build_parser(prog: str, description: str,
     )
     parser.add_argument(
         "--select", metavar="RULES", default=None,
-        help="comma-separated rule codes to run "
-             f"(default: all of {', '.join(catalogue)})",
+        help="comma-separated rule codes to run (default: every rule "
+             "but the perf rules R15-R19)",
     )
     parser.add_argument(
         "--explain", action="store_true",
-        help="print the rule catalogue and exit",
+        help="print the rule catalogue (or the --select rules) and exit",
     )
     parser.add_argument(
         "--baseline", metavar="FILE", default=None,
@@ -117,37 +101,32 @@ def _build_parser(prog: str, description: str,
         "--write-baseline", metavar="FILE", default=None,
         help="record the current findings as the baseline and exit 0",
     )
-    return parser
+    args = parser.parse_args(argv)
 
-
-def _run(args: argparse.Namespace, catalogue: dict[str, Rule],
-         default_rules: list[Rule] | None = None) -> int:
-    """Select rules, lint, format, exit-code — shared by all commands.
-
-    ``default_rules`` overrides the rule set used when ``--select`` is
-    absent (the plain ``lint`` command passes the non-perf subset while
-    keeping the full catalogue available to ``--select``/``--explain``).
-    """
-    if args.explain:
-        print(_explain(catalogue))
-        return 0
-
-    rules = (list(catalogue.values()) if default_rules is None
-             else list(default_rules))
+    rules = list(RULES.values())
     if args.select is not None:
-        codes = [c.strip().upper() for c in args.select.split(",") if c.strip()]
+        # dict.fromkeys: a code named twice must not report twice.
+        codes = list(dict.fromkeys(
+            c.strip().upper() for c in args.select.split(",") if c.strip()
+        ))
         if not codes:
             # An empty selection would "lint" with zero rules and exit 0
             # — a green CI gate that checks nothing.  Usage error.
-            print("--select is empty; pass one or more rule codes like "
-                  f"{next(iter(catalogue))}", file=sys.stderr)
-            return 2
-        unknown = [c for c in codes if c not in catalogue]
-        if unknown:
-            print(f"unknown rule codes {unknown}; known: {sorted(catalogue)}",
+            print("--select is empty; pass one or more rule codes like R1",
                   file=sys.stderr)
             return 2
-        rules = [catalogue[c] for c in codes]
+        unknown = [c for c in codes if c not in RULES]
+        if unknown:
+            print(f"unknown rule codes {unknown}; known: {sorted(RULES)}",
+                  file=sys.stderr)
+            return 2
+        rules = [RULES[c] for c in codes]
+    if args.explain:
+        print(_explain(rules))
+        return 0
+    if args.select is None:
+        # Perf rules are opt-in: the default run is the correctness gate.
+        rules = [rule for rule in rules if rule.family != "perf"]
 
     try:
         violations = lint_paths(args.paths, rules)
@@ -179,172 +158,6 @@ def _run(args: argparse.Namespace, catalogue: dict[str, Rule],
 
     print(_FORMATS[args.format](violations))
     return 1 if violations else 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Parse lint arguments, run every rule, print the report.
-
-    The default run covers the correctness rules (R1-R14); the perf
-    rules R15-R19 stay reachable via ``--select`` but belong to the
-    dedicated ``perf-audit`` command, which scopes them to hot paths.
-    """
-    parser = _build_parser(
-        "repro-experiments lint",
-        "AST determinism & invariant linter (rules R1-R14; suppress per "
-        "line with `# repro-lint: ignore[R..]`; perf rules R15-R19 run "
-        "under `perf-audit`).",
-        RULES,
-    )
-    default = [rule for rule in RULES.values() if not rule.perf]
-    return _run(parser.parse_args(argv), RULES, default_rules=default)
-
-
-def audit_main(argv: list[str] | None = None) -> int:
-    """Parse rng-audit arguments, run the flow rules, print the report."""
-    parser = _build_parser(
-        "repro-experiments rng-audit",
-        "Whole-program RNG stream audit (flow rules R6-R9: stream "
-        "reuse, generator escape, process-boundary crossing, draw-order "
-        "hazard).",
-        FLOW_RULES,
-    )
-    return _run(parser.parse_args(argv), FLOW_RULES)
-
-
-def race_audit_main(argv: list[str] | None = None) -> int:
-    """Parse race-audit arguments, run the async rules, print the report."""
-    parser = _build_parser(
-        "repro-experiments race-audit",
-        "Whole-program async-concurrency audit (rules R10-R14: "
-        "interleaving hazards across awaits, blocking calls in the "
-        "event loop, lost tasks, lock/queue discipline, cross-task "
-        "aliasing).  The static half of REPRO_ASYNC_SANITIZE=1.",
-        ASYNC_RULES,
-    )
-    return _run(parser.parse_args(argv), ASYNC_RULES)
-
-
-def _write_hotspot_report(path: str, steps: int, seed: int) -> None:
-    """Drive a deterministic synthetic session under the work meter and
-    write the ranked per-call-site hotspot table to ``path``.
-
-    The workload is a seeded insert/delete stream against a small
-    session (the same shape the service bench uses), so the report is
-    byte-reproducible and ranks exactly the DynamicSparsifier /
-    lazy-rebuild inner loops the vectorization ROADMAP item targets.
-    """
-    import json
-
-    # Imported here: the lint CLI must not pull the service stack (and
-    # numpy) in for plain static runs.
-    from repro.dynamic.incremental import DEFAULT_CHUNK
-    from repro.instrument import workmeter
-    from repro.instrument.rng import resolve_rng
-    from repro.service.session import Session
-
-    num_vertices = 96
-    with workmeter.audit() as meter:
-        session = Session("perf-audit", num_vertices=num_vertices,
-                          beta=2, epsilon=0.25, seed=seed)
-        stream = resolve_rng(seed=seed, owner="perf-audit-report")
-        present: set[tuple[int, int]] = set()
-        applied = 0
-        while applied < steps:
-            u = int(stream.integers(0, num_vertices))
-            v = int(stream.integers(0, num_vertices))
-            if u == v:
-                continue
-            edge = (u, v) if u < v else (v, u)
-            op = "delete" if edge in present else "insert"
-            session.apply(op, edge[0], edge[1])
-            (present.discard if op == "delete" else present.add)(edge)
-            applied += 1
-        budget_ops = session.work_budget * DEFAULT_CHUNK
-        payload = {
-            "format": "repro-hotspots-v1",
-            "workload": {
-                "num_vertices": num_vertices,
-                "beta": 2,
-                "epsilon": 0.25,
-                "steps": steps,
-                "seed": seed,
-            },
-            "updates": meter.updates,
-            "total_ops": meter.total_ops,
-            "per_update": {
-                "max_ops": meter.per_update_max,
-                "budget_chunks": session.work_budget,
-                "budget_ops": budget_ops,
-                "max_observed_constant": round(
-                    meter.max_observed_constant, 6
-                ),
-            },
-            "hotspots": [
-                {**row, "share": round(row["share"], 6)}
-                for row in meter.report()
-            ],
-        }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    top = payload["hotspots"][0]["site"] if payload["hotspots"] else "none"
-    print(f"hotspot report: {meter.total_ops} ops across {meter.updates} "
-          f"updates -> {path} (top site: {top})")
-
-
-def perf_audit_main(argv: list[str] | None = None) -> int:
-    """Parse perf-audit arguments, run the perf rules, print the report."""
-    parser = _build_parser(
-        "repro-experiments perf-audit",
-        "Hot-path performance audit (rules R15-R19: scalar loops over "
-        "the array substrate, quadratic membership, hot-loop "
-        "allocation, unbudgeted while loops, redundant recompute).  "
-        "The static half of REPRO_WORK_AUDIT=1.",
-        PERF_RULES,
-    )
-    parser.add_argument(
-        "--hot-roots", metavar="SPECS", default=None,
-        help="comma-separated function specs (`Class.method` or "
-             "`function`) added to the default update entry points "
-             "R16-R18 grow reachability from",
-    )
-    parser.add_argument(
-        "--report", metavar="FILE", default=None,
-        help="also run a deterministic synthetic session under the "
-             "work meter and write the ranked hotspot table to FILE",
-    )
-    parser.add_argument(
-        "--report-steps", type=int, default=400,
-        help="updates in the synthetic --report workload (default 400)",
-    )
-    parser.add_argument(
-        "--report-seed", type=int, default=0,
-        help="seed of the synthetic --report workload (default 0)",
-    )
-    args = parser.parse_args(argv)
-    if args.report_steps < 1:
-        print("--report-steps must be >= 1", file=sys.stderr)
-        return 2
-    if args.report is not None:
-        # Before the static pass: the report must land even when the
-        # lint half exits 1 with findings.
-        _write_hotspot_report(args.report, args.report_steps,
-                              args.report_seed)
-    from repro.lint import perf_flow
-
-    if args.hot_roots is not None:
-        extra = tuple(
-            s.strip() for s in args.hot_roots.split(",") if s.strip()
-        )
-        if not extra:
-            print("--hot-roots is empty; pass specs like "
-                  "`Matcher.update`", file=sys.stderr)
-            return 2
-        perf_flow.set_hot_roots(perf_flow.DEFAULT_HOT_ROOTS + extra)
-    try:
-        return _run(args, PERF_RULES)
-    finally:
-        perf_flow.set_hot_roots(None)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,7 +24,7 @@ R9 — **draw-order hazard**: a shared generator consumed inside unordered
 The analysis is an abstract interpreter over each function body: it
 tracks which names, attributes, container elements, and dataclass fields
 hold generators (kinds ``GEN`` / ``GENLIST``), aliases them through
-``resolve_rng``/``derive_rng`` and plain assignment, follows spawned
+``resolve_rng`` and plain assignment, follows spawned
 child lists through subscripts, ``zip``/``enumerate`` loops and tuple
 unpacking, and resolves imported helpers through the
 :class:`~repro.lint.callgraph.Program` summaries so a generator returned
@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import ast
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
+from repro.lint.callgraph import _dotted, _is_set_expression
 from repro.lint.violations import Violation
 
 #: Expression kinds the tracker distinguishes (``None`` everywhere else).
@@ -65,37 +65,13 @@ DRAW_METHODS = frozenset({
 #: import resolution fails (e.g. ``lint_source`` snippets).  Resolvers
 #: *alias*: a generator argument flows through unchanged.
 _RESOLVER_NAMES = frozenset({
-    "default_rng", "resolve_rng", "derive_rng", "sanitize_rng",
+    "default_rng", "resolve_rng", "sanitize_rng",
 })
 _SPAWNER_NAMES = frozenset({"spawn_rngs"})
-
-#: Engine submission points (mirrors rule R3).
-_TASK_NAMES = frozenset({"TrialTask", "fanout"})
 
 #: Attribute names assumed generator-valued on any receiver (the
 #: ``TrialTask.rng`` dataclass field and the ``self._rng`` idiom).
 _GEN_ATTRS = frozenset({"rng", "_rng"})
-
-
-def _dotted(node: ast.AST) -> str | None:
-    """Render a ``Name``/``Attribute`` chain as ``"a.b.c"``, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-def _is_unordered(node: ast.AST) -> bool:
-    """Whether iterating ``node`` has hash-dependent (set) order."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        return _dotted(node.func) in {"set", "frozenset"}
-    return False
 
 
 def _param_is_generator(arg: ast.arg) -> bool:
@@ -137,23 +113,6 @@ class _LoopCtx:
     node: ast.AST
 
 
-@dataclass
-class ModuleFlow:
-    """All R6-R9 findings for one module, keyed by rule code."""
-
-    violations: dict[str, list[Violation]] = field(default_factory=dict)
-
-    def add(self, path: str, node: ast.AST, code: str, message: str) -> None:
-        """Record one finding at ``node``."""
-        self.violations.setdefault(code, []).append(
-            Violation(path, node.lineno, node.col_offset, code, message)
-        )
-
-    def get(self, code: str) -> list[Violation]:
-        """Findings for one rule (empty if clean)."""
-        return self.violations.get(code, [])
-
-
 class _FunctionFlow:
     """Abstract interpreter for one function (or the module top level)."""
 
@@ -162,7 +121,7 @@ class _FunctionFlow:
         program,
         module,
         path: str,
-        out: ModuleFlow | None,
+        out: dict[str, list[Violation]] | None,
         env: dict[str, Token] | None = None,
         at_module_level: bool = False,
     ) -> None:
@@ -193,7 +152,9 @@ class _FunctionFlow:
     # -- plumbing ------------------------------------------------------ #
     def _emit(self, node: ast.AST, code: str, message: str) -> None:
         if self.out is not None:
-            self.out.add(self.path, node, code, message)
+            self.out.setdefault(code, []).append(Violation(
+                self.path, node.lineno, node.col_offset, code, message
+            ))
 
     def _resolve(self, call: ast.Call) -> tuple[str | None, str]:
         """(fully qualified callee, last name component) for a call."""
@@ -479,7 +440,7 @@ class _FunctionFlow:
         pushed = 0
         for comp in node.generators:
             self._bind_loop_target(comp.target, comp.iter)
-            if _is_unordered(comp.iter):
+            if _is_set_expression(comp.iter):
                 self.loops.append(_LoopCtx(
                     targets=self._target_names(comp.target),
                     unordered=True, node=comp.iter,
@@ -660,7 +621,7 @@ class _FunctionFlow:
             self._bind_loop_target(stmt.target, stmt.iter)
             ctx = _LoopCtx(
                 targets=self._target_names(stmt.target),
-                unordered=_is_unordered(stmt.iter),
+                unordered=_is_set_expression(stmt.iter),
                 node=stmt.iter,
             )
             self.loops.append(ctx)
@@ -749,9 +710,9 @@ def infer_return_kind(program, module, fndef) -> str | None:
     return None
 
 
-def analyze_module(program, module) -> ModuleFlow:
-    """Run the flow pass over one module; returns all R6-R9 findings."""
-    out = ModuleFlow()
+def analyze_module(program, module) -> dict[str, list[Violation]]:
+    """All R6-R9 findings for one module, keyed by rule code."""
+    out: dict[str, list[Violation]] = {}
     top = _FunctionFlow(program, module, module.path, out,
                         at_module_level=True)
     # Module level: R7 for module-global generator state, plus flow
@@ -759,29 +720,3 @@ def analyze_module(program, module) -> ModuleFlow:
     # visited through the statement walker with fresh scopes.
     top.run(module.tree.body)
     return out
-
-
-def violations_for(ctx, code: str) -> list[Violation]:
-    """Findings of one flow rule for a runner :class:`RuleContext`.
-
-    The analysis runs once per module and is cached on the program, so
-    R6-R9 share a single pass.  A context without an attached program
-    (direct construction) gets a private single-module program.
-    """
-    from repro.lint.callgraph import Program
-
-    program = ctx.program
-    if program is None:
-        program = Program.from_sources({ctx.path: (ctx.tree, ctx.source)})
-    module = program.module_for(ctx.path)
-    if module is None:
-        from repro.lint.callgraph import ModuleInfo
-
-        module = ModuleInfo.build(ctx.path, ctx.tree)
-        program.by_path[ctx.path] = module
-        program.modules.setdefault(module.name, module)
-    cached = program.flow_cache.get(ctx.path)
-    if cached is None:
-        cached = analyze_module(program, module)
-        program.flow_cache[ctx.path] = cached
-    return cached.get(code)

@@ -44,10 +44,9 @@ R19 — redundant-recompute
     deleted, or mutated in the loop: hoist it.
 
 **Hot roots.**  R16/R17/R18 are scoped to functions reachable from the
-update entry points in :data:`DEFAULT_HOT_ROOTS` (suffix-matched
-against fully-qualified names, so ``Session.apply`` matches
-``repro.service.session.Session.apply``).  The ``perf-audit`` CLI
-extends the set with ``--hot-roots``.  Reachability reuses the
+update entry points in :data:`HOT_ROOTS` (suffix-matched against
+fully-qualified names, so ``Session.apply`` matches
+``repro.service.session.Session.apply``).  Reachability reuses the
 :mod:`repro.lint.callgraph` program index and resolves direct calls,
 ``self`` methods, ``self.<attr>`` methods through a program-wide
 attribute-type binder, and annotated/constructed local receivers.
@@ -65,19 +64,15 @@ import ast
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.lint.callgraph import ModuleInfo, Program
-from repro.lint.rules import _dotted
+from repro.lint.callgraph import ModuleInfo, Program, _dotted, _numpy_aliases
 from repro.lint.violations import Violation
 
-#: Rule codes computed by this pass, in report order.
-PERF_CODES = ("R15", "R16", "R17", "R18", "R19")
-
-#: Default hot roots: the update entry points of the dynamic algorithms
-#: and the served session, suffix-matched against fully-qualified names.
-#: The call graph does not follow inheritance, so the shared
+#: Hot roots: the update entry points of the dynamic algorithms and the
+#: served session, suffix-matched against fully-qualified names.  The
+#: call graph does not follow inheritance, so the shared
 #: windowed-rebuild core and the matchers' rebuild generators (reached
 #: only through ``self`` calls across the class hierarchy) are named.
-DEFAULT_HOT_ROOTS = (
+HOT_ROOTS = (
     "DynamicSparsifier.update",
     "LazyRebuildMatching.update",
     "ObliviousDynamicMatching.update",
@@ -87,10 +82,6 @@ DEFAULT_HOT_ROOTS = (
     "Session.apply",
     "incremental_rebuild",
 )
-
-#: The active hot-root suffixes (module state so the registered rule
-#: checks — which only see a RuleContext — honor ``--hot-roots``).
-_hot_root_specs: tuple[str, ...] = DEFAULT_HOT_ROOTS
 
 #: Substrate-producing call tails: iterating these is iterating the
 #: graph's vertex/edge structure element by element.
@@ -134,25 +125,6 @@ _MUTATING_METHODS = frozenset({
 })
 
 
-def set_hot_roots(specs: tuple[str, ...] | list[str] | None) -> None:
-    """Install the hot-root suffixes R16-R18 grow reachability from.
-
-    ``None`` restores :data:`DEFAULT_HOT_ROOTS`.  The CLI's
-    ``--hot-roots`` option calls this with the defaults plus the user's
-    additions and restores the defaults afterwards.
-    """
-    global _hot_root_specs
-    if specs is None:
-        _hot_root_specs = DEFAULT_HOT_ROOTS
-    else:
-        _hot_root_specs = tuple(dict.fromkeys(specs))
-
-
-def hot_root_specs() -> tuple[str, ...]:
-    """The currently active hot-root suffixes."""
-    return _hot_root_specs
-
-
 # --------------------------------------------------------------------- #
 # Scope walking                                                         #
 # --------------------------------------------------------------------- #
@@ -173,17 +145,6 @@ def _scopes(tree: ast.Module):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
-
-
-def _numpy_aliases(tree: ast.Module) -> set[str]:
-    """Names the module binds to the numpy package."""
-    aliases = {"numpy"}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "numpy":
-                    aliases.add(alias.asname or "numpy")
-    return aliases
 
 
 def _assign_name_targets(node: ast.AST) -> list[str]:
@@ -290,7 +251,7 @@ class _HotBundle:
         if cached is not None:
             return cached
         module, _class_name, fndef = self.index[full]
-        np_aliases = _numpy_aliases(module.tree)
+        np_aliases = _numpy_aliases(ast.walk(module.tree))
         found = any(
             _alloc_label(node, np_aliases) is not None
             for node in ast.walk(fndef)
@@ -300,14 +261,10 @@ class _HotBundle:
         return found
 
 
-def _matches_root(full: str, specs: tuple[str, ...]) -> bool:
-    return any(full == spec or full.endswith("." + spec) for spec in specs)
-
-
-def _hot_bundle(program: Program, specs: tuple[str, ...]) -> _HotBundle:
-    """Build (or fetch) the reachability bundle for one spec set."""
-    key = ("perf-bundle", specs)
-    cached = program.flow_cache.get(key)
+def _hot_bundle(program: Program) -> _HotBundle:
+    """Build (or fetch) the program's hot-path reachability bundle."""
+    key = "perf-bundle"
+    cached = program.analysis_cache.get(key)
     if cached is not None:
         return cached
     bundle = _HotBundle()
@@ -340,7 +297,11 @@ def _hot_bundle(program: Program, specs: tuple[str, ...]) -> _HotBundle:
                     bundle.attr_types.setdefault(
                         target.attr, set()
                     ).add(resolved)
-    roots = [full for full in bundle.index if _matches_root(full, specs)]
+    roots = [
+        full for full in bundle.index
+        if any(full == spec or full.endswith("." + spec)
+               for spec in HOT_ROOTS)
+    ]
     hot: set[str] = set(roots)
     worklist: deque[str] = deque(roots)
     while worklist:
@@ -356,7 +317,7 @@ def _hot_bundle(program: Program, specs: tuple[str, ...]) -> _HotBundle:
                     hot.add(target)
                     worklist.append(target)
     bundle.hot = frozenset(hot)
-    program.flow_cache[key] = bundle
+    program.analysis_cache[key] = bundle
     return bundle
 
 
@@ -451,7 +412,7 @@ def _r15_trigger(loop: ast.For, np_aliases: set[str],
 
 def _check_r15(module: ModuleInfo) -> list[Violation]:
     """Scalar python loops over the flat array substrate."""
-    np_aliases = _numpy_aliases(module.tree)
+    np_aliases = _numpy_aliases(ast.walk(module.tree))
     out: list[Violation] = []
     for scope in _scopes(module.tree):
         numpy_names, count_names = _r15_scope_types(scope, np_aliases)
@@ -599,7 +560,7 @@ def _alloc_label(node: ast.AST, np_aliases: set[str]) -> str | None:
 
 def _check_r17(bundle: _HotBundle, module: ModuleInfo) -> list[Violation]:
     """Per-iteration allocations in hot-reachable functions."""
-    np_aliases = _numpy_aliases(module.tree)
+    np_aliases = _numpy_aliases(ast.walk(module.tree))
     out: list[Violation] = []
     for full, class_name, fndef in _hot_functions_in(bundle, module):
         short = full.rpartition(".")[2]
@@ -781,12 +742,12 @@ def _check_r19(module: ModuleInfo) -> list[Violation]:
 
 
 # --------------------------------------------------------------------- #
-# Entry points                                                          #
+# Entry point                                                           #
 # --------------------------------------------------------------------- #
 def analyze_module(program: Program,
                    module: ModuleInfo) -> dict[str, list[Violation]]:
     """All R15-R19 findings for one module, keyed by rule code."""
-    bundle = _hot_bundle(program, _hot_root_specs)
+    bundle = _hot_bundle(program)
     return {
         "R15": _check_r15(module),
         "R16": _check_r16(bundle, module),
@@ -794,27 +755,3 @@ def analyze_module(program: Program,
         "R18": _check_r18(bundle, module),
         "R19": _check_r19(module),
     }
-
-
-def violations_for(ctx, code: str) -> list[Violation]:
-    """Findings of one performance rule for a runner ``RuleContext``.
-
-    Mirrors :func:`repro.lint.async_flow.violations_for`: the module
-    analysis runs once per (module, hot-root set) and is cached on the
-    program; a context without a program gets a private single-module
-    one.
-    """
-    program = ctx.program
-    if program is None:
-        program = Program.from_sources({ctx.path: (ctx.tree, ctx.source)})
-    module = program.module_for(ctx.path)
-    if module is None:
-        module = ModuleInfo.build(ctx.path, ctx.tree)
-        program.by_path[ctx.path] = module
-        program.modules.setdefault(module.name, module)
-    key = ("perf", ctx.path, _hot_root_specs)
-    cached = program.flow_cache.get(key)
-    if cached is None:
-        cached = analyze_module(program, module)
-        program.flow_cache[key] = cached
-    return cached[code]

@@ -1,4 +1,4 @@
-"""The rule catalogue: nine checks behind one registry.
+"""The rule catalogue: nineteen checks behind one registry.
 
 Each rule is a pure function from a parsed module to a list of
 :class:`~repro.lint.violations.Violation`.  The registry drives the
@@ -31,18 +31,25 @@ R5
     iteration over set expressions in ``experiments/``/``engine/`` —
     set order feeds tables, and tables must be byte-deterministic.
 
-R6-R9 are the *flow* rules: instead of judging one statement, they run
-the whole-program RNG-flow pass of :mod:`repro.lint.flow` (stream reuse,
-generator escape, process-boundary crossing, draw-order hazard).  See
-that module's docstring for the semantics and ``docs/LINTING.md`` for
-worked examples.
+The other rules are whole-program: each belongs to a *family* whose
+pass analyzes a module once and serves every rule of the family its
+findings (:func:`repro.lint.callgraph.pass_findings`).
 
-R15-R19 are the *performance* rules (:mod:`repro.lint.perf_flow`):
-scalar loops over the array substrate, quadratic membership, per-
-iteration allocation, unbudgeted while loops, and loop-invariant
-recomputation on the hot update path.  They are opt-in — the
-``perf-audit`` subcommand runs them; plain ``lint`` does not, so the
-repo-wide determinism gate stays focused on correctness.
+R6-R9, family ``flow``
+    The RNG-flow pass of :mod:`repro.lint.flow` (stream reuse,
+    generator escape, process-boundary crossing, draw-order hazard).
+R10-R14, family ``async``
+    The async-concurrency pass of :mod:`repro.lint.async_flow`.
+R15-R19, family ``perf``
+    The performance pass of :mod:`repro.lint.perf_flow`: scalar loops
+    over the array substrate, quadratic membership, per-iteration
+    allocation, unbudgeted while loops, and loop-invariant
+    recomputation on the hot update path.  They are opt-in — ``lint``
+    runs them only when ``--select`` names them, so the repo-wide
+    determinism gate stays focused on correctness.
+
+See each pass's docstring for the semantics and ``docs/LINTING.md`` for
+worked examples.
 
 Rules R1-R5 read the parsed module through :meth:`RuleContext.nodes`, a
 node index built with **one** ``ast.walk`` per file and shared by every
@@ -56,12 +63,17 @@ import ast
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import PurePath
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
+from repro.lint import async_flow, flow, perf_flow
+from repro.lint.callgraph import (
+    Program,
+    _dotted,
+    _is_set_expression,
+    _numpy_aliases,
+    pass_findings,
+)
 from repro.lint.violations import Violation
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.lint.callgraph import Program
 
 #: ``np.random`` attributes that are constructors/types, not the legacy
 #: global-state API (calling these is fine; ``np.random.rand`` etc. is not).
@@ -119,7 +131,7 @@ class RuleContext:
     path: str
     tree: ast.Module
     source: str
-    program: "Program | None" = field(default=None, compare=False)
+    program: Program | None = field(default=None, compare=False)
 
     @property
     def parts(self) -> tuple[str, ...]:
@@ -162,48 +174,18 @@ class Rule:
         One-line description rendered by ``lint --explain`` and the docs.
     check:
         The implementation: ``RuleContext -> list[Violation]``.
-    flow:
-        Whether this is a whole-program flow rule (R6-R9) — the set the
-        ``rng-audit`` subcommand runs.
-    concurrency:
-        Whether this is an async-concurrency rule (R10-R14) — the set
-        the ``race-audit`` subcommand runs
-        (:mod:`repro.lint.async_flow`).
-    perf:
-        Whether this is a performance rule (R15-R19) — the set the
-        ``perf-audit`` subcommand runs (:mod:`repro.lint.perf_flow`).
-        Perf rules are excluded from the default ``lint`` run.
+    family:
+        ``"syntactic"`` (R1-R5), or the whole-program pass the rule
+        belongs to: ``"flow"`` (R6-R9), ``"async"`` (R10-R14) or
+        ``"perf"`` (R15-R19).  Perf rules are excluded from the default
+        ``lint`` run.
     """
 
     code: str
     title: str
     summary: str
     check: Callable[[RuleContext], list[Violation]]
-    flow: bool = False
-    concurrency: bool = False
-    perf: bool = False
-
-
-def _dotted(node: ast.AST) -> str | None:
-    """Render a ``Name``/``Attribute`` chain as ``"a.b.c"``, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-def _numpy_aliases(ctx: RuleContext) -> set[str]:
-    """Names the module binds to the ``numpy`` package (``np`` by idiom)."""
-    aliases = {"numpy"}
-    for node in ctx.nodes(ast.Import):
-        for alias in node.names:
-            if alias.name == "numpy":
-                aliases.add(alias.asname or "numpy")
-    return aliases
+    family: str = "syntactic"
 
 
 def _stdlib_random_aliases(ctx: RuleContext) -> set[str]:
@@ -219,7 +201,7 @@ def _stdlib_random_aliases(ctx: RuleContext) -> set[str]:
 def _check_r1(ctx: RuleContext) -> list[Violation]:
     """R1 — no global-state randomness."""
     in_rng_module = ctx.is_module("instrument", "rng.py")
-    np_aliases = _numpy_aliases(ctx)
+    np_aliases = _numpy_aliases(ctx.nodes(ast.Import))
     random_aliases = _stdlib_random_aliases(ctx)
     out: list[Violation] = []
 
@@ -432,14 +414,6 @@ def _is_mutable_literal(node: ast.AST | None) -> bool:
     return False
 
 
-def _is_set_expression(node: ast.AST) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        return _dotted(node.func) in {"set", "frozenset"}
-    return False
-
-
 def _check_r5(ctx: RuleContext) -> list[Violation]:
     """R5 — mutable defaults anywhere; set-order iteration near tables."""
     out: list[Violation] = []
@@ -474,46 +448,24 @@ def _check_r5(ctx: RuleContext) -> list[Violation]:
     return out
 
 
-def _flow_check(code: str) -> Callable[[RuleContext], list[Violation]]:
-    """Bind one flow-rule code to the shared whole-program pass."""
+#: Family -> the whole-program pass computing its rules.
+_PASSES = {
+    "flow": flow.analyze_module,
+    "async": async_flow.analyze_module,
+    "perf": perf_flow.analyze_module,
+}
+
+
+def _pass_rule(code: str, family: str, title: str, summary: str) -> Rule:
+    """Register one whole-program rule: its code's share of its pass."""
+    analyze = _PASSES[family]
 
     def check(ctx: RuleContext) -> list[Violation]:
-        # Imported lazily: flow.py uses this module's helpers.
-        from repro.lint import flow
-
-        return flow.violations_for(ctx, code)
+        return pass_findings(ctx, analyze, code)
 
     check.__name__ = f"_check_{code.lower()}"
-    check.__doc__ = f"{code} — see repro.lint.flow."
-    return check
-
-
-def _async_check(code: str) -> Callable[[RuleContext], list[Violation]]:
-    """Bind one async-rule code to the shared concurrency pass."""
-
-    def check(ctx: RuleContext) -> list[Violation]:
-        # Imported lazily, mirroring _flow_check.
-        from repro.lint import async_flow
-
-        return async_flow.violations_for(ctx, code)
-
-    check.__name__ = f"_check_{code.lower()}"
-    check.__doc__ = f"{code} — see repro.lint.async_flow."
-    return check
-
-
-def _perf_check(code: str) -> Callable[[RuleContext], list[Violation]]:
-    """Bind one performance-rule code to the shared perf pass."""
-
-    def check(ctx: RuleContext) -> list[Violation]:
-        # Imported lazily, mirroring _flow_check.
-        from repro.lint import perf_flow
-
-        return perf_flow.violations_for(ctx, code)
-
-    check.__name__ = f"_check_{code.lower()}"
-    check.__doc__ = f"{code} — see repro.lint.perf_flow."
-    return check
+    check.__doc__ = f"{code} — see {analyze.__module__}."
+    return Rule(code, title, summary, check, family)
 
 
 #: The registry, in report order.  Keys are the pragma/ignore codes.
@@ -534,80 +486,56 @@ RULES: dict[str, Rule] = {
     "R5": Rule("R5", "order-discipline",
                "no mutable default arguments; no set-order iteration "
                "in experiments/ or engine/", _check_r5),
-    "R6": Rule("R6", "stream-reuse",
-               "no generator consumed after spawning children from it, "
-               "threaded into two sibling trial tasks, or handed to a "
-               "task and also used locally", _flow_check("R6"), flow=True),
-    "R7": Rule("R7", "generator-escape",
-               "no Generator in module-level state, class attributes, "
-               "or closures that escape their scope", _flow_check("R7"),
-               flow=True),
-    "R8": Rule("R8", "process-boundary-crossing",
-               "no live Generator in TrialTask/fanout payloads; ship "
-               "the rng= child or a seed/spawn-key spec",
-               _flow_check("R8"), flow=True),
-    "R9": Rule("R9", "draw-order-hazard",
-               "no shared generator consumed inside unordered (set) "
-               "iteration; per-element child streams are exempt",
-               _flow_check("R9"), flow=True),
-    "R10": Rule("R10", "interleaving-hazard",
-                "no shared attribute read before an await and mutated "
-                "after it without a common lock — stale "
-                "read-modify-write across a suspension point",
-                _async_check("R10"), concurrency=True),
-    "R11": Rule("R11", "blocking-in-event-loop",
-                "no time.sleep/sync IO/subprocess (directly or through "
-                "helpers) and no await-free while-True loops inside "
-                "async defs", _async_check("R11"), concurrency=True),
-    "R12": Rule("R12", "lost-task",
-                "no un-awaited coroutine calls; every create_task "
-                "handle is awaited, cancelled, stored, or given a "
-                "done-callback", _async_check("R12"), concurrency=True),
-    "R13": Rule("R13", "lock-queue-discipline",
-                "no sync lock held across an await, no unbounded "
-                "asyncio.Queue, no future that is never resolved or "
-                "handed off", _async_check("R13"), concurrency=True),
-    "R14": Rule("R14", "cross-task-aliasing",
-                "no mutable object escaping into two concurrently-live "
-                "tasks; queues and locks are the sanctioned channels",
-                _async_check("R14"), concurrency=True),
-    "R15": Rule("R15", "scalar-loop-over-array-substrate",
-                "no scalar python for-loop over graph substrate or "
-                "numpy arrays doing per-element array work; vectorize "
-                "over the flat adjacency arrays", _perf_check("R15"),
-                perf=True),
-    "R16": Rule("R16", "quadratic-membership",
-                "no list/tuple `in` probes or index()/remove() inside "
-                "loops reachable from update/rebuild paths; use "
-                "sets/dicts", _perf_check("R16"), perf=True),
-    "R17": Rule("R17", "hot-loop-allocation",
-                "no container/array construction, comprehension, or "
-                "string formatting per iteration in functions reachable "
-                "from the update entry points", _perf_check("R17"),
-                perf=True),
-    "R18": Rule("R18", "unbounded-work-path",
-                "every while loop reachable from a session update is "
-                "dominated by a budget/chunk/cap check (the Theorem "
-                "3.5 max_chunks_per_update cap)", _perf_check("R18"),
-                perf=True),
-    "R19": Rule("R19", "redundant-recompute",
-                "no loop-invariant len()/attribute-chain re-evaluated "
-                "every iteration; hoist it before the loop",
-                _perf_check("R19"), perf=True),
-}
-
-#: The flow-rule subset (what ``repro-experiments rng-audit`` runs).
-FLOW_RULES: dict[str, Rule] = {
-    code: rule for code, rule in RULES.items() if rule.flow
-}
-
-#: The async-concurrency subset (what ``repro-experiments race-audit``
-#: runs).
-ASYNC_RULES: dict[str, Rule] = {
-    code: rule for code, rule in RULES.items() if rule.concurrency
-}
-
-#: The performance subset (what ``repro-experiments perf-audit`` runs).
-PERF_RULES: dict[str, Rule] = {
-    code: rule for code, rule in RULES.items() if rule.perf
+    "R6": _pass_rule("R6", "flow", "stream-reuse",
+                     "no generator consumed after spawning children from "
+                     "it, threaded into two sibling trial tasks, or handed "
+                     "to a task and also used locally"),
+    "R7": _pass_rule("R7", "flow", "generator-escape",
+                     "no Generator in module-level state, class attributes, "
+                     "or closures that escape their scope"),
+    "R8": _pass_rule("R8", "flow", "process-boundary-crossing",
+                     "no live Generator in TrialTask/fanout payloads; ship "
+                     "the rng= child or a seed/spawn-key spec"),
+    "R9": _pass_rule("R9", "flow", "draw-order-hazard",
+                     "no shared generator consumed inside unordered (set) "
+                     "iteration; per-element child streams are exempt"),
+    "R10": _pass_rule("R10", "async", "interleaving-hazard",
+                      "no shared attribute read before an await and mutated "
+                      "after it without a common lock — stale "
+                      "read-modify-write across a suspension point"),
+    "R11": _pass_rule("R11", "async", "blocking-in-event-loop",
+                      "no time.sleep/sync IO/subprocess (directly or "
+                      "through helpers) and no await-free while-True loops "
+                      "inside async defs"),
+    "R12": _pass_rule("R12", "async", "lost-task",
+                      "no un-awaited coroutine calls; every create_task "
+                      "handle is awaited, cancelled, stored, or given a "
+                      "done-callback"),
+    "R13": _pass_rule("R13", "async", "lock-queue-discipline",
+                      "no sync lock held across an await, no unbounded "
+                      "asyncio.Queue, no future that is never resolved or "
+                      "handed off"),
+    "R14": _pass_rule("R14", "async", "cross-task-aliasing",
+                      "no mutable object escaping into two "
+                      "concurrently-live tasks; queues and locks are the "
+                      "sanctioned channels"),
+    "R15": _pass_rule("R15", "perf", "scalar-loop-over-array-substrate",
+                      "no scalar python for-loop over graph substrate or "
+                      "numpy arrays doing per-element array work; vectorize "
+                      "over the flat adjacency arrays"),
+    "R16": _pass_rule("R16", "perf", "quadratic-membership",
+                      "no list/tuple `in` probes or index()/remove() inside "
+                      "loops reachable from update/rebuild paths; use "
+                      "sets/dicts"),
+    "R17": _pass_rule("R17", "perf", "hot-loop-allocation",
+                      "no container/array construction, comprehension, or "
+                      "string formatting per iteration in functions "
+                      "reachable from the update entry points"),
+    "R18": _pass_rule("R18", "perf", "unbounded-work-path",
+                      "every while loop reachable from a session update is "
+                      "dominated by a budget/chunk/cap check (the Theorem "
+                      "3.5 max_chunks_per_update cap)"),
+    "R19": _pass_rule("R19", "perf", "redundant-recompute",
+                      "no loop-invariant len()/attribute-chain re-evaluated "
+                      "every iteration; hoist it before the loop"),
 }

@@ -44,7 +44,7 @@ def mcm_approx(
     graph: AdjacencyArrayGraph,
     epsilon: float | None = None,
     sweeps: int | None = None,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     *,
     seed: int | None = None,
 ) -> Matching:

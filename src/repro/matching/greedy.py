@@ -15,7 +15,7 @@ from repro.matching.matching import Matching
 
 def greedy_maximal_matching(
     graph: AdjacencyArrayGraph,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     *,
     seed: int | None = None,
 ) -> Matching:

@@ -69,7 +69,7 @@ def mpc_approx_matching(
     epsilon: float,
     num_machines: int,
     memory_per_machine: int | None = None,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     policy: DeltaPolicy | None = None,
     *,
     seed: int | None = None,

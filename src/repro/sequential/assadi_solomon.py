@@ -55,7 +55,7 @@ class AS19Result:
 def as19_maximal_matching(
     graph: AdjacencyArrayGraph,
     beta: int,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     constant: float = 4.0,
     *,
     seed: int | None = None,

@@ -59,7 +59,7 @@ def approximate_matching(
     graph: AdjacencyArrayGraph,
     beta: int,
     epsilon: float,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     policy: DeltaPolicy | None = None,
     matcher: MatcherName = "exact",
     sampler: SamplerName = "pos_array",

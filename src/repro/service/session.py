@@ -182,7 +182,7 @@ class Session:
         beta: int,
         epsilon: float,
         backend: str = "lazy_rebuild",
-        rng: np.random.Generator | int | None = None,
+        rng: np.random.Generator | None = None,
         journal: ReplayJournal | None = None,
         budget_ms: float = DEFAULT_BUDGET_MS,
         *,

@@ -65,7 +65,7 @@ def streaming_approx_matching(
     stream: EdgeStream,
     beta: int,
     epsilon: float,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     policy: DeltaPolicy | None = None,
     *,
     seed: int | None = None,

@@ -41,7 +41,7 @@ class VertexReservoir:
     def __init__(
         self,
         capacity: int,
-        rng: np.random.Generator | int | None = None,
+        rng: np.random.Generator | None = None,
         *,
         seed: int | None = None,
     ) -> None:
@@ -75,7 +75,7 @@ class VertexReservoir:
 def streaming_sparsifier(
     stream: EdgeStream,
     delta: int,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | None = None,
     *,
     seed: int | None = None,
 ) -> tuple[AdjacencyArrayGraph, int]:

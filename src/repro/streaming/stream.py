@@ -33,7 +33,7 @@ class EdgeStream:
         self,
         num_vertices: int,
         edges: Iterable[tuple[int, int]],
-        rng: np.random.Generator | int | None = None,
+        rng: np.random.Generator | None = None,
         *,
         seed: int | None = None,
     ) -> None:
@@ -49,7 +49,7 @@ class EdgeStream:
     def from_graph(
         cls,
         graph: AdjacencyArrayGraph,
-        rng: np.random.Generator | int | None = None,
+        rng: np.random.Generator | None = None,
         *,
         seed: int | None = None,
     ) -> "EdgeStream":

@@ -1,4 +1,4 @@
-"""Async-concurrency rules R10-R14 and the ``race-audit`` CLI.
+"""Async-concurrency rules R10-R14 and ``lint --select R10,...,R14``.
 
 Each rule gets a pass/fail fixture pair under ``fixtures/`` (asserted
 line by line) plus targeted snippet tests for the semantics that keep
@@ -12,17 +12,34 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
-from repro.lint import ASYNC_RULES, RULES, lint_file, lint_source
-from repro.lint.cli import audit_main, race_audit_main
+from repro.lint import RULES, lint_file, lint_source
 from repro.lint.cli import main as lint_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+#: The async-concurrency rules, as ``--select`` spells them.
+ASYNC = "R10,R11,R12,R13,R14"
+
 pytestmark = pytest.mark.fast
 
 
+def race_audit_main(argv):
+    """``lint`` restricted to the async rules (the race audit)."""
+    return lint_main(["--select", ASYNC, *argv])
+
+
+def audit_main(argv):
+    """``lint`` restricted to the flow rules (the RNG stream audit)."""
+    return lint_main(["--select", "R6,R7,R8,R9", *argv])
+
+
+def cli_main_lint(argv):
+    """``lint`` reached through the ``repro-experiments`` dispatcher."""
+    return cli_main(["lint", *argv])
+
+
 def _codes(source, *rules, path="snippet.py"):
-    selected = [RULES[c] for c in rules] if rules else list(ASYNC_RULES.values())
+    selected = [RULES[c] for c in (rules or ASYNC.split(","))]
     return [v.rule for v in lint_source(source, path=path, rules=selected)]
 
 
@@ -258,7 +275,7 @@ class TestRaceAuditCli:
         assert "R10" in capsys.readouterr().out
 
     def test_runs_only_async_rules(self, tmp_path):
-        # A file violating syntactic rule R1 is out of race-audit scope.
+        # A file violating syntactic rule R1 is out of the audit's scope.
         (tmp_path / "r1.py").write_text(
             "import numpy as np\nx = np.random.rand(3)\n"
         )
@@ -268,7 +285,7 @@ class TestRaceAuditCli:
     def test_explain_lists_exactly_the_async_rules(self, capsys):
         assert race_audit_main(["--explain"]) == 0
         out = capsys.readouterr().out
-        for code in ASYNC_RULES:
+        for code in ASYNC.split(","):
             assert code in out
         assert "R1 " not in out and "R6 " not in out
 
@@ -276,9 +293,6 @@ class TestRaceAuditCli:
         target = str(FIXTURES / "r11_fail.py")
         assert race_audit_main(["--select", "R10", target]) == 0
         assert race_audit_main(["--select", "R11", target]) == 1
-
-    def test_non_async_rule_code_is_usage_error(self, tmp_path):
-        assert race_audit_main(["--select", "R1", str(tmp_path)]) == 2
 
     def test_json_format(self, capsys):
         assert race_audit_main(
@@ -290,7 +304,7 @@ class TestRaceAuditCli:
 
     def test_dispatch_through_repro_experiments(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text("x = 1\n")
-        assert cli_main(["race-audit", str(tmp_path)]) == 0
+        assert cli_main(["lint", "--select", ASYNC, str(tmp_path)]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_shipped_service_tree_is_clean(self, capsys):
@@ -300,15 +314,18 @@ class TestRaceAuditCli:
 
 
 class TestSelectValidation:
-    """Satellite: every audit front-end rejects degenerate selections."""
+    """Every lint front-end rejects degenerate selections, also when
+    they follow a family selection (the last ``--select`` wins)."""
 
-    @pytest.mark.parametrize("entry", [lint_main, audit_main, race_audit_main])
+    ENTRIES = [lint_main, audit_main, race_audit_main, cli_main_lint]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
     def test_empty_select_is_usage_error(self, entry, tmp_path, capsys):
         (tmp_path / "ok.py").write_text("x = 1\n")
         assert entry(["--select", ",,", str(tmp_path)]) == 2
         assert "empty" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry", [lint_main, audit_main, race_audit_main])
+    @pytest.mark.parametrize("entry", ENTRIES)
     def test_unknown_code_is_usage_error(self, entry, tmp_path, capsys):
         assert entry(["--select", "R99", str(tmp_path)]) == 2
         assert "unknown rule codes" in capsys.readouterr().err

@@ -1,24 +1,21 @@
-"""The derive_rng deprecation is finished: only the shim remains.
+"""The derive_rng retirement is finished: the helper is gone.
 
-The pre-1.3 ``derive_rng`` helper survives solely as a warning-emitting
-alias in ``repro.instrument.rng`` for external callers.  These tests
-pin the end state: no module under ``src/repro`` references it (by
-import or by name) outside that one shim, it is not re-exported from
-the ``repro.instrument`` package, and the shim itself still works and
-still warns.
+The pre-1.3 ``derive_rng`` helper (deprecated since 1.3) was removed in
+2.0.  These tests pin the end state: no module under ``src/repro``
+references it (by import or by name), it is not exported from the
+``repro.instrument`` package or its ``rng`` module, and importing the
+public facade emits no deprecation warning.
 """
 
 import ast
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 pytestmark = pytest.mark.fast
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-SHIM = SRC / "instrument" / "rng.py"
 
 
 def referenced_names(tree: ast.AST) -> set[str]:
@@ -40,13 +37,11 @@ class TestRetirement:
     def test_no_module_references_derive_rng(self):
         offenders = []
         for path in sorted(SRC.rglob("*.py")):
-            if path == SHIM:
-                continue  # the shim's own definition
             tree = ast.parse(path.read_text(), filename=str(path))
             if "derive_rng" in referenced_names(tree):
                 offenders.append(str(path.relative_to(SRC)))
         assert offenders == [], (
-            "derive_rng is deprecated; these modules still reference it: "
+            "derive_rng was removed; these modules still reference it: "
             f"{offenders}"
         )
 
@@ -56,21 +51,12 @@ class TestRetirement:
         assert "derive_rng" not in instrument.__all__
         assert "derive_rng" not in vars(instrument)
 
-    def test_shim_still_importable(self):
-        from repro.instrument.rng import derive_rng  # noqa: F401
-
-    def test_shim_warns_and_works(self):
-        from repro.instrument.rng import derive_rng
-
-        with pytest.warns(DeprecationWarning, match="resolve_rng"):
-            rng = derive_rng(7)
-        assert isinstance(rng, np.random.Generator)
-        generator = np.random.default_rng(0)
-        with pytest.warns(DeprecationWarning):
-            assert derive_rng(generator) is generator
+    def test_shim_is_gone(self):
+        with pytest.raises(ImportError):
+            from repro.instrument.rng import derive_rng  # noqa: F401
 
     def test_internal_suite_emits_no_deprecation_warning(self):
-        # Importing the whole public facade must not trip the shim.
+        # Importing the whole public facade warns about nothing.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             import repro.api  # noqa: F401

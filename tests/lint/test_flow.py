@@ -1,5 +1,5 @@
 """Interprocedural flow rules R6-R9: tracking behaviors, cross-module
-summaries, pragma suppression, and the ``rng-audit`` CLI."""
+summaries, pragma suppression, and ``lint --select R6,R7,R8,R9``."""
 
 import json
 from pathlib import Path
@@ -7,11 +7,18 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
-from repro.lint import FLOW_RULES, RULES, lint_paths, lint_source
-from repro.lint.cli import audit_main
+from repro.lint import RULES, lint_paths, lint_source
 from repro.lint.cli import main as lint_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+#: The flow rules, as ``--select`` spells them.
+FLOW = "R6,R7,R8,R9"
+
+
+def audit_main(argv):
+    """``lint`` restricted to the flow rules (the RNG stream audit)."""
+    return lint_main(["--select", FLOW, *argv])
 
 #: A deliberately racy module: one generator threaded into two sibling
 #: trial tasks (the stream race the audit exists to catch).
@@ -278,14 +285,14 @@ class TestAuditCli:
     def test_explain_lists_exactly_the_flow_rules(self, capsys):
         assert audit_main(["--explain"]) == 0
         out = capsys.readouterr().out
-        for code in FLOW_RULES:
+        for code in FLOW.split(","):
             assert code in out
         assert "R1" not in out
 
     def test_dispatch_through_repro_experiments(self, tmp_path, capsys):
         bad = tmp_path / "racy.py"
         bad.write_text(RACY)
-        assert cli_main(["rng-audit", str(bad)]) == 1
+        assert cli_main(["lint", "--select", FLOW, str(bad)]) == 1
         assert "R6" in capsys.readouterr().out
 
 

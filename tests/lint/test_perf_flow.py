@@ -1,4 +1,5 @@
-"""Performance rules R15-R19, the ``perf-audit`` CLI, and baselines.
+"""Performance rules R15-R19, ``lint --select R15,...,R19``, baselines,
+and the hotspot report (``benchmarks/hotspots.py``).
 
 Each rule gets a pass/fail fixture pair under ``fixtures/`` (asserted
 line by line) plus targeted snippet tests for the semantics that keep
@@ -7,31 +8,39 @@ hoisted allocations, budget-guarded loops, mutation-aware invariance —
 and for the hot-root scoping that confines R16-R18 to the update path.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.lint import PERF_RULES, RULES, lint_file, lint_source
+from repro.lint import RULES, lint_file, lint_source
 from repro.lint.cli import main as lint_main
-from repro.lint.cli import perf_audit_main
-from repro.lint import perf_flow
 
+REPO = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
+
+#: The performance rules, as ``--select`` spells them.
+PERF = "R15,R16,R17,R18,R19"
 
 pytestmark = pytest.mark.fast
 
-#: A class whose method suffix-matches a default hot root, so snippet
-#: loops inside it are on the hot path without extra --hot-roots setup.
+#: A class whose method suffix-matches a hot root, so snippet loops
+#: inside it are on the hot path.
 HOT_PREFIX = (
     "class DynamicSparsifier:\n"
     "    def update(self, op, u, v):\n"
 )
 
 
+def perf_audit_main(argv):
+    """``lint`` restricted to the perf rules (the perf audit)."""
+    return lint_main(["--select", PERF, *argv])
+
+
 def _codes(source, *rules, path="snippet.py"):
-    selected = [RULES[c] for c in rules] if rules else list(PERF_RULES.values())
+    selected = [RULES[c] for c in (rules or PERF.split(","))]
     return [v.rule for v in lint_source(source, path=path, rules=selected)]
 
 
@@ -313,27 +322,6 @@ class TestR19RedundantRecompute:
 
 
 class TestHotRoots:
-    def test_custom_root_brings_function_in_scope(self):
-        src = (
-            "class Walker:\n"
-            "    def crawl(self):\n"
-            "        while True:\n"
-            "            self.step()\n"
-        )
-        assert _codes(src, "R18") == []
-        perf_flow.set_hot_roots(
-            perf_flow.DEFAULT_HOT_ROOTS + ("Walker.crawl",)
-        )
-        try:
-            assert _codes(src, "R18") == ["R18"]
-        finally:
-            perf_flow.set_hot_roots(None)
-
-    def test_set_hot_roots_none_restores_defaults(self):
-        perf_flow.set_hot_roots(("Only.this",))
-        perf_flow.set_hot_roots(None)
-        assert perf_flow.hot_root_specs() == perf_flow.DEFAULT_HOT_ROOTS
-
     def test_reachability_through_self_attribute(self):
         # Session.apply -> self.matcher.update where self.matcher is a
         # program class: the attribute-type binder makes update() hot.
@@ -372,7 +360,7 @@ class TestPerfRulesAreOptIn:
     def test_lint_explain_still_lists_perf_rules(self, capsys):
         assert lint_main(["--explain"]) == 0
         out = capsys.readouterr().out
-        for code in PERF_RULES:
+        for code in PERF.split(","):
             assert code in out
 
 
@@ -387,7 +375,7 @@ class TestPerfAuditCli:
         assert "R18" in capsys.readouterr().out
 
     def test_runs_only_perf_rules(self, tmp_path):
-        # A file violating syntactic rule R1 is out of perf-audit scope.
+        # A file violating syntactic rule R1 is out of the audit's scope.
         (tmp_path / "r1.py").write_text(
             "import numpy as np\nx = np.random.rand(3)\n"
         )
@@ -397,12 +385,9 @@ class TestPerfAuditCli:
     def test_explain_lists_exactly_the_perf_rules(self, capsys):
         assert perf_audit_main(["--explain"]) == 0
         out = capsys.readouterr().out
-        for code in PERF_RULES:
+        for code in PERF.split(","):
             assert code in out
         assert "R1 " not in out and "R10 " not in out
-
-    def test_non_perf_rule_code_is_usage_error(self, tmp_path):
-        assert perf_audit_main(["--select", "R1", str(tmp_path)]) == 2
 
     def test_json_format(self, capsys):
         assert perf_audit_main(
@@ -412,30 +397,9 @@ class TestPerfAuditCli:
         assert payload["count"] == 2
         assert {v["rule"] for v in payload["violations"]} == {"R16"}
 
-    def test_hot_roots_option_extends_scope(self, tmp_path):
-        target = tmp_path / "walker.py"
-        target.write_text(
-            "class Walker:\n"
-            "    def crawl(self):\n"
-            "        while True:\n"
-            "            self.step()\n"
-        )
-        assert perf_audit_main([str(target)]) == 0
-        assert perf_audit_main(
-            ["--hot-roots", "Walker.crawl", str(target)]
-        ) == 1
-        # The module-level root set is restored afterwards.
-        assert perf_flow.hot_root_specs() == perf_flow.DEFAULT_HOT_ROOTS
-
-    def test_empty_hot_roots_is_usage_error(self, tmp_path, capsys):
-        assert perf_audit_main(
-            ["--hot-roots", " , ", str(tmp_path)]
-        ) == 2
-        assert "empty" in capsys.readouterr().err
-
     def test_dispatch_through_repro_experiments(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text("x = 1\n")
-        assert cli_main(["perf-audit", str(tmp_path)]) == 0
+        assert cli_main(["lint", "--select", PERF, str(tmp_path)]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_shipped_dynamic_and_service_trees_are_clean(self):
@@ -448,18 +412,24 @@ class TestPerfAuditCli:
         ]) == 0
 
 
+def _hotspots_script():
+    """Import ``benchmarks/hotspots.py`` (a script, not a package)."""
+    spec = importlib.util.spec_from_file_location(
+        "hotspots", REPO / "benchmarks" / "hotspots.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestHotspotReport:
     def test_report_writes_ranked_hotspots(self, tmp_path, capsys):
         report = tmp_path / "hotspots.json"
-        (tmp_path / "ok.py").write_text("x = 1\n")
-        assert perf_audit_main([
-            "--report", str(report), "--report-steps", "40",
-            str(tmp_path / "ok.py"),
-        ]) == 0
+        assert _hotspots_script().main([str(report)]) == 0
         assert "hotspot report" in capsys.readouterr().out
         payload = json.loads(report.read_text())
         assert payload["format"] == "repro-hotspots-v1"
-        assert payload["updates"] == 40
+        assert payload["updates"] == 400
         assert payload["total_ops"] > 0
         assert payload["per_update"]["max_ops"] > 0
         assert payload["per_update"]["max_observed_constant"] < 4.0
@@ -471,33 +441,13 @@ class TestHotspotReport:
         assert counts == sorted(counts, reverse=True)
         assert all(row["count"] > 0 for row in payload["hotspots"])
 
-    def test_report_is_deterministic(self, tmp_path):
-        (tmp_path / "ok.py").write_text("x = 1\n")
-        first = tmp_path / "a.json"
-        second = tmp_path / "b.json"
-        for report in (first, second):
-            assert perf_audit_main([
-                "--report", str(report), "--report-steps", "25",
-                "--report-seed", "7", str(tmp_path / "ok.py"),
-            ]) == 0
-        assert first.read_text() == second.read_text()
-
-    def test_report_lands_even_when_lint_fails(self, tmp_path):
-        report = tmp_path / "hotspots.json"
-        assert perf_audit_main([
-            "--report", str(report), "--report-steps", "10",
-            str(FIXTURES / "r18_fail.py"),
-        ]) == 1
-        assert report.exists()
-
-    def test_bad_report_steps_is_usage_error(self, tmp_path):
-        assert perf_audit_main(
-            ["--report", str(tmp_path / "h.json"), "--report-steps", "0"]
-        ) == 2
+    def test_report_is_deterministic(self):
+        script = _hotspots_script()
+        assert script.hotspot_report() == script.hotspot_report()
 
 
 class TestBaseline:
-    """Satellite: the shared --baseline / --write-baseline ratchet."""
+    """The --baseline / --write-baseline ratchet."""
 
     def _violating_tree(self, tmp_path):
         bad = tmp_path / "bad.py"
@@ -581,7 +531,10 @@ class TestBaseline:
         assert first.read_text() == second.read_text()
 
     @pytest.mark.parametrize("entry_args", [
-        ["lint"], ["rng-audit"], ["race-audit"], ["perf-audit"],
+        ["lint"],
+        ["lint", "--select", "R6,R7,R8,R9"],
+        ["lint", "--select", "R10,R11,R12,R13,R14"],
+        ["lint", "--select", PERF],
     ])
     def test_every_audit_cli_accepts_baseline_options(
         self, entry_args, tmp_path, capsys

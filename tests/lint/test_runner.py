@@ -155,6 +155,16 @@ class TestCli:
     def test_unknown_rule_code_is_usage_error(self, tmp_path):
         assert lint_main(["--select", "R99", str(tmp_path)]) == 2
 
+    def test_repeated_code_reports_each_finding_once(self, tmp_path, capsys):
+        bad = tmp_path / "bad.py"
+        bad.write_text(VIOLATING)
+        assert lint_main(["--format", "json", "--select", "R1", str(bad)]) == 1
+        once = json.loads(capsys.readouterr().out)["count"]
+        assert lint_main(
+            ["--format", "json", "--select", "R1,r1, R1", str(bad)]
+        ) == 1
+        assert json.loads(capsys.readouterr().out)["count"] == once
+
     def test_missing_target_is_usage_error(self, tmp_path):
         assert lint_main([str(tmp_path / "nope.txt")]) == 2
 
@@ -181,10 +191,11 @@ def test_repository_tree_is_clean():
 
     Mirrors the default ``lint`` CLI: the correctness rules R1-R14.
     The perf rules R15-R19 are opt-in advisories gated separately —
-    ``perf-audit`` over the hot trees must be clean
+    over the hot trees they must be clean
     (``tests/lint/test_perf_flow.py``), while known findings elsewhere
-    ratchet down via ``results/perf_baseline.json``.
+    ratchet down via ``results/perf_baseline.json``
+    (``tests/lint/test_findings_oracle.py``).
     """
     repo_root = Path(__file__).resolve().parents[2]
-    rules = [rule for rule in RULES.values() if not rule.perf]
+    rules = [rule for rule in RULES.values() if rule.family != "perf"]
     assert lint_paths([repo_root / "src", repo_root / "tests"], rules) == []

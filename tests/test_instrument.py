@@ -11,7 +11,6 @@ from repro.instrument.rng import (
     DRAW_METHODS,
     RngFingerprint,
     SanitizedGenerator,
-    derive_rng,
     resolve_rng,
     rng_from_spec,
     rng_sanitize_enabled,
@@ -106,22 +105,6 @@ class TestCounterSet:
 
 
 class TestRng:
-    def test_derive_from_int_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="resolve_rng"):
-            a = derive_rng(5)
-        with pytest.warns(DeprecationWarning, match="resolve_rng"):
-            b = derive_rng(5)
-        assert a.integers(1000) == b.integers(1000)
-
-    def test_derive_passthrough_warns(self):
-        gen = np.random.default_rng(0)
-        with pytest.warns(DeprecationWarning, match="resolve_rng"):
-            assert derive_rng(gen) is gen
-
-    def test_derive_none_warns(self):
-        with pytest.warns(DeprecationWarning, match="resolve_rng"):
-            assert isinstance(derive_rng(None), np.random.Generator)
-
     def test_spawn(self):
         children = spawn_rngs(resolve_rng(seed=1), 3)
         assert len(children) == 3
@@ -150,26 +133,23 @@ class TestResolveRng:
         with pytest.raises(ValueError):
             resolve_rng(seed=0, rng=np.random.default_rng(0))
 
-    def test_int_via_rng_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="seed= keyword"):
-            gen = resolve_rng(rng=7)
-        assert gen.integers(1000) == np.random.default_rng(7).integers(1000)
+    def test_int_via_rng_raises(self):
+        with pytest.raises(TypeError, match="via seed="):
+            resolve_rng(rng=7)
 
-    def test_generator_via_seed_warns_but_works(self):
-        source = np.random.default_rng(3)
-        with pytest.warns(DeprecationWarning, match="rng= keyword"):
-            gen = resolve_rng(seed=source)
-        assert gen is source
+    def test_generator_via_seed_raises(self):
+        with pytest.raises(TypeError, match="via rng="):
+            resolve_rng(seed=np.random.default_rng(3))
 
-    def test_shim_still_accepted_by_public_api(self):
+    def test_legacy_shapes_rejected_by_public_api(self):
         from repro.core.sparsifier import build_sparsifier
         from repro.graphs.generators import clique
 
         g = clique(12)
-        with pytest.warns(DeprecationWarning):
-            old = build_sparsifier(g, 3, rng=0)
-        new = build_sparsifier(g, 3, seed=0)
-        assert sorted(old.subgraph.edges()) == sorted(new.subgraph.edges())
+        with pytest.raises(TypeError, match="via seed="):
+            build_sparsifier(g, 3, rng=0)
+        with pytest.raises(TypeError, match="via rng="):
+            build_sparsifier(g, 3, seed=np.random.default_rng(0))
 
 
 class TestStreamIdentity:
