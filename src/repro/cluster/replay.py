@@ -7,7 +7,7 @@ A cluster journals under one root::
       shard-1/  beta.jsonl
       ...
 
-Each per-session journal is an ordinary ``repro-service-journal-v1``
+Each per-session journal is an ordinary ``repro-service-journal-v2``
 file — sharding changes *where* a journal lives, never its format — so
 single-session replay (:func:`repro.service.journal.replay_journal`)
 works file-by-file.  What the cluster layer adds:

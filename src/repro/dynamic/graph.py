@@ -3,7 +3,7 @@
 Standard model (Section 3.3): fixed vertex set, single-edge insertions
 and deletions.  Per-vertex adjacency is a dynamic array plus a position
 map, giving O(1) insert, O(1) delete (swap-with-last), O(1) degree, and
-O(1) uniform neighbor sampling — exactly the operations the dynamic
+O(k) uniform k-neighbor sampling — exactly the operations the dynamic
 sparsifier maintenance and the windowed rebuilds need.
 """
 
@@ -16,6 +16,11 @@ import numpy as np
 from repro.graphs.adjacency import AdjacencyArrayGraph
 from repro.graphs.builder import from_edges
 from repro.instrument import workmeter
+
+#: Above ``deg > _KEY_SAMPLE_MAX_RATIO * k`` the O(deg) random-key draw
+#: would cost more than numpy's O(k) ``choice`` (the same ratio numpy
+#: uses to pick its own algorithm), so the sampler switches to it.
+_KEY_SAMPLE_MAX_RATIO = 50
 
 
 class DynamicGraph:
@@ -64,14 +69,33 @@ class DynamicGraph:
         """The i-th neighbor in the internal (mutation-dependent) order."""
         return self._adj[v][i]
 
+    @property
+    def position_index(self) -> list[dict[int, int]]:
+        """The live position maps: ``v in position_index[u]`` iff {u, v}
+        is present.
+
+        Not a copy: it follows every later mutation, so a rebuild held
+        across updates can probe edges without a method call per probe.
+        Callers must not mutate it.
+        """
+        return self._pos
+
     # Hot-loop primitive on the update path (Theorem 3.5's per-update
     # budget): callers thread one long-lived generator through many calls,
     # so a per-call seed= resolution would add overhead and mislead.
     def sample_neighbors(  # repro-lint: ignore[R4]
         self, v: int, k: int, rng: np.random.Generator
     ) -> list[int]:
-        """min(k, deg) distinct uniform random neighbors of v, O(k) time."""
-        deg = len(self._adj[v])
+        """min(k, deg) distinct uniform random neighbors of v, O(k) time.
+
+        ``deg <= k`` returns the whole list without a draw.  Otherwise the
+        k smallest of ``deg`` uniform keys pick a uniform k-subset in one
+        ``random`` draw plus an O(deg) ``argpartition``, which is O(k)
+        while ``deg <= 50·k``; above that (numpy's own ``choice``
+        cutoff) one O(k) ``choice`` draw is used instead.
+        """
+        nbrs = self._adj[v]
+        deg = len(nbrs)
         meter = workmeter.active()
         if meter is not None:
             meter.count("vertex-scan", "DynamicGraph.sample_neighbors")
@@ -82,13 +106,16 @@ class DynamicGraph:
                 meter.count("edge-touch", "DynamicGraph.sample_neighbors",
                             deg)
                 meter.count("allocation", "DynamicGraph.sample_neighbors")
-            return list(self._adj[v])
+            return list(nbrs)
         if meter is not None:
             meter.count("rng-draw", "DynamicGraph.sample_neighbors")
             meter.count("edge-touch", "DynamicGraph.sample_neighbors", k)
             meter.count("allocation", "DynamicGraph.sample_neighbors")
-        picks = rng.choice(deg, size=k, replace=False)
-        return [self._adj[v][int(i)] for i in picks]
+        if deg > _KEY_SAMPLE_MAX_RATIO * k:
+            picks = rng.choice(deg, size=k, replace=False)
+        else:
+            picks = rng.random(deg).argpartition(k - 1)[:k]
+        return [nbrs[i] for i in picks.tolist()]
 
     # ------------------------------------------------------------------ #
     def insert(self, u: int, v: int) -> None:

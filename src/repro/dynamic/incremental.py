@@ -34,19 +34,21 @@ DEFAULT_CHUNK = 256
 
 def _augmentation_search(
     adj: list[list[int]],
-    mate: np.ndarray,
+    mate: list[int],
     root: int,
-    parent: np.ndarray,
-    base: np.ndarray,
-    in_tree: np.ndarray,
-    in_blossom: np.ndarray,
+    parent: list[int],
+    base: list[int],
+    in_tree: list[bool],
+    in_blossom: list[bool],
     ops_cap: int | None = None,
 ) -> tuple[int, int]:
     """One blossom BFS from ``root``; returns (free_end | -1, ops).
 
     Identical logic to :mod:`repro.matching.blossom`, restated over
     list-of-lists adjacency with explicit operation counting so the
-    caller can charge work chunks.  ``ops_cap`` aborts the search once
+    caller can charge work chunks.  The scratch state is plain Python
+    lists: every access is a scalar one, which a list serves without
+    boxing a numpy scalar.  ``ops_cap`` aborts the search once
     that many operations are spent — the windowed rebuild uses it to keep
     each atomic work slice O(Δ)-bounded (augmenting paths that matter are
     short and found early in the BFS; aborted long searches cost at most
@@ -54,44 +56,45 @@ def _augmentation_search(
     """
     n = len(adj)
     ops = 0
-    parent.fill(-1)
-    base[:] = np.arange(n)
-    in_tree.fill(False)
+    cleared = [False] * n
+    parent[:] = [-1] * n
+    base[:] = range(n)
+    in_tree[:] = cleared
     in_tree[root] = True
     queue: deque[int] = deque([root])
 
     def lca(a: int, b: int) -> int:
         nonlocal ops
-        seen = np.zeros(n, dtype=bool)
+        seen = [False] * n
         v = a
         # Alternating-tree walks: each hop moves strictly rootward, so
         # both loops terminate in <= path-length <= n steps, and every
         # hop increments `ops`, charged against the caller's ops_cap.
         while True:  # repro-lint: ignore[R18]
             ops += 1
-            v = int(base[v])
+            v = base[v]
             seen[v] = True
             if mate[v] == -1:
                 break
-            v = int(parent[mate[v]])
+            v = parent[mate[v]]
         v = b
         while True:  # repro-lint: ignore[R18]
             ops += 1
-            v = int(base[v])
+            v = base[v]
             if seen[v]:
                 return v
-            v = int(parent[mate[v]])
+            v = parent[mate[v]]
 
     def mark_path(v: int, blossom_base: int, child: int) -> None:
         nonlocal ops
         # Bounded by the blossom path length (<= n); ops-charged hops.
-        while int(base[v]) != blossom_base:  # repro-lint: ignore[R18]
+        while base[v] != blossom_base:  # repro-lint: ignore[R18]
             ops += 1
             in_blossom[base[v]] = True
             in_blossom[base[mate[v]]] = True
             parent[v] = child
-            child = int(mate[v])
-            v = int(parent[mate[v]])
+            child = mate[v]
+            v = parent[mate[v]]
 
     while queue:
         if ops_cap is not None and ops > ops_cap:
@@ -99,11 +102,11 @@ def _augmentation_search(
         v = queue.popleft()
         for to in adj[v]:
             ops += 1
-            if int(base[v]) == int(base[to]) or int(mate[v]) == to:
+            if base[v] == base[to] or mate[v] == to:
                 continue
             if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
                 blossom_base = lca(v, to)
-                in_blossom.fill(False)
+                in_blossom[:] = cleared
                 mark_path(v, blossom_base, to)
                 mark_path(to, blossom_base, v)
                 ops += n
@@ -117,19 +120,19 @@ def _augmentation_search(
                 parent[to] = v
                 if mate[to] == -1:
                     return to, ops
-                nxt = int(mate[to])
+                nxt = mate[to]
                 in_tree[nxt] = True
                 queue.append(nxt)
     return -1, ops
 
 
-def _apply_augmentation(mate: np.ndarray, parent: np.ndarray, free_end: int) -> None:
+def _apply_augmentation(mate: list[int], parent: list[int], free_end: int) -> None:
     v = free_end
     # Walks one augmenting path root-ward: <= path-length <= n hops,
     # already charged to the search's ops_cap by the caller.
     while v != -1:  # repro-lint: ignore[R18]
-        pv = int(parent[v])
-        nxt = int(mate[pv])
+        pv = parent[v]
+        nxt = mate[pv]
         mate[v] = pv
         mate[pv] = v
         v = nxt
@@ -176,21 +179,31 @@ def incremental_rebuild(
     # costs at most one matched edge per such update, inside the
     # Lemma 3.4 window slack.
     edge_set: set[tuple[int, int]] = set()
+    # Loop invariants hoisted out of the per-edge loops.  ``live`` is the
+    # graph's live position map (not a copy), so ``v in live[u]`` sees
+    # every deletion that raced the rebuild, exactly like has_edge.
+    add_edge = edge_set.add
+    sample = graph.sample_neighbors
+    live = graph.position_index
     for v in graph.non_isolated_vertices():
         # The Delta-sample must materialize its pick list (fresh
-        # randomness per vertex); preallocated sample buffers are the
-        # vectorization rewrite tracked in docs/PERFORMANCE.md.
-        marks = graph.sample_neighbors(v, delta, rng)  # repro-lint: ignore[R17]
+        # randomness per vertex); one segmented draw for the whole
+        # stage was measured slower (docs/PERFORMANCE.md).
+        marks = sample(v, delta, rng)  # repro-lint: ignore[R17]
         ops += max(1, len(marks))
         if meter is not None:
             meter.count("vertex-scan", "incremental_rebuild.sample")
         for u in marks:
-            edge_set.add((v, u) if v < u else (u, v))
+            add_edge((v, u) if v < u else (u, v))
         if ops >= chunk:
             ops = 0
             yield 1
 
     # ---- Build adjacency lists (filter edges deleted meanwhile) -------
+    # Iterating the tuple-keyed set gives each vertex a pseudo-random
+    # adjacency order (hash order).  Keep it: sorted lists (int-coded
+    # keys, a sorted CSR) were measured to multiply greedy's counted
+    # work (docs/PERFORMANCE.md).
     adj: list[list[int]] = [[] for _ in range(n)]
     if meter is not None:
         meter.count("allocation", "incremental_rebuild.build_adj")
@@ -198,7 +211,7 @@ def incremental_rebuild(
         ops += 1
         if meter is not None:
             meter.count("edge-touch", "incremental_rebuild.build_adj")
-        if graph.has_edge(u, v):
+        if v in live[u]:
             adj[u].append(v)
             adj[v].append(u)
         if ops >= chunk:
@@ -206,13 +219,14 @@ def incremental_rebuild(
             yield 1
 
     # ---- Stage 2: greedy maximal matching -----------------------------
-    mate = np.full(n, -1, dtype=np.int64)
+    # Scratch state is Python lists through stages 2-3 (scalar access
+    # only); the result becomes one int64 array at the end.
+    mate = [-1] * n
     if meter is not None:
         meter.count("allocation", "incremental_rebuild.greedy")
     # Scalar by design: the greedy pass must be interruptible every
-    # ~chunk ops (the whole point of this generator); the vectorized
-    # rewrite (docs/PERFORMANCE.md) replaces the stage wholesale.
-    for u in range(n):  # repro-lint: ignore[R15]
+    # ~chunk ops (the whole point of this generator).
+    for u in range(n):
         if meter is not None:
             meter.count("vertex-scan", "incremental_rebuild.greedy")
         if mate[u] != -1:
@@ -221,7 +235,7 @@ def incremental_rebuild(
             ops += 1
             if meter is not None:
                 meter.count("edge-touch", "incremental_rebuild.greedy")
-            if mate[v] == -1 and graph.has_edge(u, v):
+            if mate[v] == -1 and v in live[u]:
                 mate[u], mate[v] = v, u
                 break
         if ops >= chunk:
@@ -229,21 +243,21 @@ def incremental_rebuild(
             yield 1
 
     # ---- Stage 3: bounded augmentation sweeps -------------------------
-    parent = np.full(n, -1, dtype=np.int64)
-    base = np.arange(n, dtype=np.int64)
-    in_tree = np.zeros(n, dtype=bool)
-    in_blossom = np.zeros(n, dtype=bool)
+    parent = [-1] * n
+    base = list(range(n))
+    in_tree = [False] * n
+    in_blossom = [False] * n
     ops_cap = search_cap_factor * delta if search_cap_factor else None
     for _ in range(sweeps):
         augmented = False
         # Scalar by design, like the greedy stage: per-root searches
         # are the chunked unit of interruptible work.
-        for root in range(n):  # repro-lint: ignore[R15]
+        for root in range(n):
             if meter is not None:
                 meter.count("vertex-scan", "incremental_rebuild.augment")
             if mate[root] != -1 or not adj[root]:
                 continue
-            # Each search allocates one BFS deque; scratch arrays are
+            # Each search allocates one BFS deque; scratch lists are
             # already hoisted (parent/base/in_tree/in_blossom above) —
             # the deque joins them in the vectorization rewrite.
             end, cost = _augmentation_search(  # repro-lint: ignore[R17]
@@ -264,4 +278,4 @@ def incremental_rebuild(
             break
     if ops > 0:
         yield 1
-    return mate
+    return np.asarray(mate, dtype=np.int64)

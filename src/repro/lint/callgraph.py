@@ -195,6 +195,8 @@ class Program:
         Fully-qualified callables whose return value is one ``Generator``
         / a list of generators — the base knowledge plus everything the
         fixpoint in :func:`compute_summaries` discovered in user code.
+        The fixpoint runs on the first read, so a selection without a
+        flow rule (the perf or async families alone) never pays for it.
     """
 
     def __init__(self, modules: Iterable[ModuleInfo]) -> None:
@@ -203,12 +205,28 @@ class Program:
         for info in modules:
             self.modules[info.name] = info
             self.by_path[info.path] = info
-        self.returns_generator: set[str] = set(GEN_RETURNING_BASE)
-        self.returns_generator_list: set[str] = set(GENLIST_RETURNING_BASE)
+        self._returns_generator: set[str] = set(GEN_RETURNING_BASE)
+        self._returns_generator_list: set[str] = set(GENLIST_RETURNING_BASE)
+        self._summarized = False
         #: Per-module pass results and other whole-program memos, keyed
         #: by their producer (see :func:`pass_findings`).
         self.analysis_cache: dict[object, object] = {}
-        compute_summaries(self)
+
+    def _summarize(self) -> None:
+        # Marked done first: the fixpoint reads the sets it is growing.
+        if not self._summarized:
+            self._summarized = True
+            compute_summaries(self)
+
+    @property
+    def returns_generator(self) -> set[str]:
+        self._summarize()
+        return self._returns_generator
+
+    @property
+    def returns_generator_list(self) -> set[str]:
+        self._summarize()
+        return self._returns_generator_list
 
     @classmethod
     def from_sources(cls, sources: dict[str, tuple[ast.Module, str]]

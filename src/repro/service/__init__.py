@@ -19,7 +19,7 @@ Layers (bottom-up):
   graph, a Lemma 3.4 stability certificate, an on-demand G_Δ sample
   for ``snapshot``, and a deterministic state fingerprint.
 * :mod:`repro.service.journal` — the per-session deterministic replay
-  journal (``repro-service-journal-v1``): RngSpec-captured streams +
+  journal (``repro-service-journal-v2``): RngSpec-captured streams +
   applied-update log, replayable offline to a byte-identical matching.
 * :mod:`repro.service.batching` — micro-batching with bounded queues
   and backpressure (rejected-over-budget accounting).

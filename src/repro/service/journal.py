@@ -1,4 +1,4 @@
-"""Deterministic replay journals: ``repro-service-journal-v1``.
+"""Deterministic replay journals: ``repro-service-journal-v2``.
 
 Every journaled session can be rebuilt *offline* to a byte-identical
 matching and state fingerprint.  The format follows the engine's
@@ -7,7 +7,7 @@ being written, truncated tails tolerated):
 
 * line 1 — header::
 
-      {"format": "repro-service-journal-v1", "protocol": "...",
+      {"format": "repro-service-journal-v2", "protocol": "...",
        "session": name, "num_vertices": n, "beta": b, "epsilon": e,
        "backend": k, "delta": d, "work_budget": w,
        "rng": {"bit_generator": ..., "entropy": ..., "spawn_key": [...]}}
@@ -32,6 +32,13 @@ live-graph edges) match the live session byte-for-byte — the property
 :func:`repro.contracts.check_replay_sessions` asserts.  The journal
 stores no fingerprint, so the fingerprint's definition can change
 without a format change.
+
+A journal pins behaviour, not only syntax: the format version changes
+whenever the same header and updates would replay to different mate
+arrays.  v2 (3.0.0) changed the neighbour sampler's draw, so every
+session whose live degree exceeds Δ serves different mates than under
+v1; :func:`read_journal` rejects v1 journals instead of replaying them
+silently wrong (repro 2.0.0 still replays them).
 """
 
 from __future__ import annotations
@@ -47,7 +54,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.service.session import Session
 
 #: Journal format identifier (header ``format`` field).
-JOURNAL_FORMAT = "repro-service-journal-v1"
+JOURNAL_FORMAT = "repro-service-journal-v2"
+
+#: Earlier formats this version refuses, with the last release that
+#: replays each one.
+RETIRED_FORMATS = {"repro-service-journal-v1": "2.0.0"}
 
 
 class JournalError(RuntimeError):
@@ -118,7 +129,8 @@ class ReplayJournal:
 def read_journal(path: str | Path) -> tuple[dict, list[dict]]:
     """Parse a journal into ``(header, update_records)``.
 
-    Validates the header's format field and each record's shape;
+    Validates the header's format field (a retired format is refused
+    with the release that replays it) and each record's shape;
     an unparsable *trailing* line is dropped (kill mid-append), an
     unparsable line elsewhere raises :class:`JournalError`, as does a
     sequence-number gap — replay refuses to silently skip updates.
@@ -133,10 +145,16 @@ def read_journal(path: str | Path) -> tuple[dict, list[dict]]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise JournalError(f"{path}: bad header: {exc}") from exc
-    if header.get("format") != JOURNAL_FORMAT:
-        raise JournalError(
-            f"{path}: unknown journal format {header.get('format')!r}"
-        )
+    fmt = header.get("format")
+    if fmt != JOURNAL_FORMAT:
+        if isinstance(fmt, str) and fmt in RETIRED_FORMATS:
+            raise JournalError(
+                f"{path}: journal format {fmt!r} is not replayable by this "
+                f"version (it reads {JOURNAL_FORMAT!r}, whose sampler "
+                f"serves different matchings); replay it with repro "
+                f"{RETIRED_FORMATS[fmt]}"
+            )
+        raise JournalError(f"{path}: unknown journal format {fmt!r}")
     updates: list[dict] = []
     for lineno, line in enumerate(lines[1:], start=2):
         try:

@@ -385,6 +385,7 @@ class Session:
             "beta": self.beta,
             "epsilon": self.epsilon,
             "delta": self.delta,
+            "matcher_delta": getattr(self.matcher, "delta", None),
             "seq": self.seq,
             "work_budget_chunks": self.work_budget,
             "max_work_per_update": self.matcher.max_work_per_update(),

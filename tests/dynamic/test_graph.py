@@ -1,10 +1,14 @@
 """Tests for the dynamic graph substrate, incl. a reference-model property."""
 
+import math
+
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dynamic.graph import DynamicGraph
+from repro.instrument.rng import sanitize_rng
 
 
 class TestBasics:
@@ -89,6 +93,74 @@ class TestBasics:
     def test_negative_vertices(self):
         with pytest.raises(ValueError):
             DynamicGraph(-1)
+
+    def test_position_index_is_live(self):
+        g = DynamicGraph(3)
+        index = g.position_index
+        g.insert(0, 1)
+        assert 1 in index[0] and 0 in index[1]
+        g.delete(0, 1)
+        assert 1 not in index[0]
+
+
+def _star(degree: int) -> DynamicGraph:
+    g = DynamicGraph(degree + 1)
+    for v in range(1, degree + 1):
+        g.insert(0, v)
+    return g
+
+
+@pytest.mark.fast
+class TestSamplerLaw:
+    """``sample_neighbors`` draws a uniform k-subset with one draw."""
+
+    #: (deg, k): the random-key path at the matcher's Δ and at a small
+    #: k/deg, and the O(k) ``choice`` path above deg = 50·k.
+    CASES = [(63, 48), (20, 3), (200, 3)]
+    TRIALS = 2000
+
+    @pytest.mark.parametrize("deg,k", CASES)
+    def test_inclusion_frequency_is_k_over_deg(self, deg, k):
+        g = _star(deg)
+        rng = np.random.default_rng(20260101 + deg)
+        hits = np.zeros(deg + 1, dtype=np.int64)
+        neighbours = set(range(1, deg + 1))
+        for _ in range(self.TRIALS):
+            sample = g.sample_neighbors(0, k, rng)
+            assert len(sample) == len(set(sample)) == k
+            assert set(sample) <= neighbours
+            hits[sample] += 1
+        p = k / deg
+        # Each neighbour's count is Binomial(TRIALS, k/deg); six standard
+        # deviations bound all of them with room to spare.
+        bound = 6 * math.sqrt(self.TRIALS * p * (1 - p))
+        assert np.all(np.abs(hits[1:] - self.TRIALS * p) <= bound)
+        assert hits[0] == 0
+
+    @pytest.mark.parametrize("deg,k", CASES)
+    def test_one_draw_per_sample(self, deg, k):
+        g = _star(deg)
+        rng = sanitize_rng(np.random.default_rng(1))
+        for calls in range(1, 4):
+            g.sample_neighbors(0, k, rng)
+            assert rng.draws == calls
+
+    @pytest.mark.parametrize("k", [5, 6, 50])
+    def test_no_draw_when_degree_at_most_k(self, k):
+        g = _star(5)
+        rng = sanitize_rng(np.random.default_rng(1))
+        assert sorted(g.sample_neighbors(0, k, rng)) == [1, 2, 3, 4, 5]
+        assert g.sample_neighbors(1, k, rng) == [0]
+        assert DynamicGraph(3).sample_neighbors(0, k, rng) == []
+        assert rng.draws == 0
+
+    def test_large_star_returns_k_distinct_neighbours(self):
+        g = _star(20_000)
+        rng = sanitize_rng(np.random.default_rng(2))
+        sample = g.sample_neighbors(0, 48, rng)
+        assert len(sample) == len(set(sample)) == 48
+        assert all(1 <= u <= 20_000 for u in sample)
+        assert rng.draws == 1
 
 
 @settings(max_examples=30, deadline=None)

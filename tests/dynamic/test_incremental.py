@@ -1,10 +1,12 @@
 """Tests for the work-chunked incremental rebuild generator."""
 
 import numpy as np
+import pytest
 
 from repro.dynamic.graph import DynamicGraph
 from repro.dynamic.incremental import incremental_rebuild
 from repro.graphs.generators import clique_union
+from repro.instrument import workmeter
 from repro.matching.blossom import mcm_exact
 from repro.matching.matching import Matching
 
@@ -94,3 +96,44 @@ class TestRebuild:
             incremental_rebuild(g, 4, 3, rng, search_cap_factor=0)
         )
         assert Matching(np.asarray(mate)).is_valid_for(g.snapshot())
+
+
+@pytest.mark.fast
+class TestAccountingOracle:
+    """Per-stage meter counts of one rebuild follow closed forms."""
+
+    #: Matcher Δ of a β = 1, ε = 0.8 session (Δ(1, 0.2)) and its sweeps.
+    DELTA, SWEEPS = 48, 6
+
+    @pytest.mark.parametrize("clique_size", [64, 40])
+    def test_stage_counts(self, clique_size):
+        g = _loaded(clique_union(2, clique_size))
+        n, deg = g.num_vertices, clique_size - 1
+        with workmeter.audit() as meter:
+            mate, _ = _drain(incremental_rebuild(
+                g, self.DELTA, self.SWEEPS, np.random.default_rng(3)))
+        counts = meter.sites
+        # E_Δ: the union of the same per-vertex samples, redrawn from
+        # the same seed in the rebuild's vertex order.
+        replay = np.random.default_rng(3)
+        e_delta = {tuple(sorted((v, u)))
+                   for v in g.non_isolated_vertices()
+                   for u in g.sample_neighbors(v, self.DELTA, replay)}
+        sample_site = "DynamicGraph.sample_neighbors"
+        assert counts[("edge-touch", sample_site)] == n * min(deg, self.DELTA)
+        assert counts[("vertex-scan", sample_site)] == n
+        assert counts.get(("rng-draw", sample_site), 0) == (
+            n if deg > self.DELTA else 0)
+        assert counts[("vertex-scan", "incremental_rebuild.sample")] == n
+        assert counts[("edge-touch", "incremental_rebuild.build_adj")] == \
+            len(e_delta)
+        assert counts[("allocation", "incremental_rebuild.build_adj")] == 1
+        assert counts[("allocation", "incremental_rebuild.greedy")] == 1
+        assert counts[("vertex-scan", "incremental_rebuild.greedy")] == n
+        assert counts[("edge-touch", "incremental_rebuild.greedy")] <= \
+            2 * len(e_delta)
+        sweeps_run, rest = divmod(
+            counts[("vertex-scan", "incremental_rebuild.augment")], n)
+        assert rest == 0 and 1 <= sweeps_run <= self.SWEEPS
+        assert isinstance(mate, np.ndarray) and mate.dtype == np.int64
+        assert Matching(mate).is_valid_for(g.snapshot())

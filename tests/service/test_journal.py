@@ -1,7 +1,6 @@
 """Tests for the replay journal: format, fault tolerance, determinism."""
 
 import json
-from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -25,19 +24,13 @@ UPDATES = [("insert", 0, 1), ("insert", 1, 2), ("insert", 2, 3),
            ("delete", 0, 1), ("insert", 0, 7)]
 
 
-#: Journals written by version 1.8.0, whose sessions still kept their own
-#: sparsifier, with the sha256 of the final mate array each replays to.
-#: The journal format did not change, so they must still replay to
-#: exactly these matchings.
+#: Journals written by version 1.8.0 in the retired
+#: ``repro-service-journal-v1`` format.  The v2 neighbour sampler serves
+#: different matchings from the same header and updates, so these must
+#: be refused, with the release that still replays them named.
 FIXTURES = Path(__file__).parent / "fixtures" / "journals"
-JOURNALS_1_8_0 = {
-    "v1.8.0-lazy-rebuild.jsonl":
-        "85db0f810c357733621bcbfc7cad727785c70da8e837c91f430c1dc158dad15a",
-    "v1.8.0-oblivious.jsonl":
-        "8cf635dc6f2dca941c7adbd6d1f7c1c26ae54edab6dd3376b36eb17274b844f2",
-    "v1.8.0-baseline.jsonl":
-        "ef25a4321ae777187ff781a938623cc219a267705de2f7e2a51bb31a7bffa5dc",
-}
+JOURNALS_1_8_0 = ["v1.8.0-baseline.jsonl", "v1.8.0-lazy-rebuild.jsonl",
+                  "v1.8.0-oblivious.jsonl"]
 
 
 def record_session(path, seed=3, updates=UPDATES, backend="lazy_rebuild"):
@@ -104,6 +97,12 @@ class TestFaults:
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text('{"format": "not-a-journal"}\n')
+        with pytest.raises(JournalError, match="unknown journal format"):
+            read_journal(path)
+
+    def test_unhashable_format_is_unknown(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"format": ["a", "list"]}\n')
         with pytest.raises(JournalError, match="unknown journal format"):
             read_journal(path)
 
@@ -195,16 +194,17 @@ class TestReplay:
 
 
 class TestJournalsFrom180:
-    @pytest.mark.parametrize("name", sorted(JOURNALS_1_8_0))
-    def test_replays_to_the_recorded_matching(self, name):
+    @pytest.mark.parametrize("name", JOURNALS_1_8_0)
+    def test_v1_journal_is_rejected(self, name):
         path = FIXTURES / name
-        header, updates = read_journal(path)
-        assert header["format"] == JOURNAL_FORMAT
-        replayed = replay_journal(path)
-        assert replayed.seq == len(updates) == 400
-        digest = sha256(replayed.matching.mate.tobytes()).hexdigest()
-        assert digest == JOURNALS_1_8_0[name]
-        check_replay_sessions(replayed, replay_journal(path))
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["format"] == "repro-service-journal-v1"
+        assert JOURNAL_FORMAT == "repro-service-journal-v2"
+        message = r"'repro-service-journal-v1'.*replay it with repro 2\.0\.0"
+        with pytest.raises(JournalError, match=message):
+            read_journal(path)
+        with pytest.raises(JournalError, match=message):
+            replay_journal(path)
 
 
 class TestWorkAudit:

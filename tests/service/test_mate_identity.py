@@ -13,6 +13,12 @@ The sha256 over the mate-array bytes after every single update is
 pinned below.  Refactors of the session or the matchers must leave
 these digests unchanged: they are the proof that every matching a
 client could have observed stayed byte-for-byte the same.
+
+The ``lazy_rebuild`` and ``oblivious`` digests were re-pinned once, with
+the ``repro-service-journal-v2`` format: the neighbour sampler draws
+its k-subset from random keys instead of ``Generator.choice``, so a
+vertex whose degree exceeds Δ samples different (equally distributed)
+neighbours.  The ``baseline`` digests never draw and did not move.
 """
 
 from hashlib import sha256
@@ -32,13 +38,13 @@ ADVERSARY_STEPS = 900
 
 EXPECTED = {
     ("lazy_rebuild", "oblivious"):
-        "9b8998e470511f4a0cd8b5640ee312f881282dbde71fa631d89450a4416ff56c",
+        "1a8c974befa5edaf2f5e1b4b14aa33dca3c8d35ea678f4044dc541c345847753",
     ("lazy_rebuild", "adaptive"):
-        "9dcab34119a2e85dd4e4588cb5fc12eb921a55d96c83292dcde6ce90512bc4ec",
+        "23bb38fc3d449361c8f7a8561361edf2b60ec8b8fc65bb0e44bad50e6684af30",
     ("oblivious", "oblivious"):
-        "3fd85d14b870efb7a3598e0f09724d64eb8f6bb5297ae9ca1c9e966c8dc6e2f2",
+        "925cdbce2c1ae3bd487f503a8c88c1ea1dd17a7099b0688ec21aefdd4c22183d",
     ("oblivious", "adaptive"):
-        "61403398db0947b3b6a89ce06390facf33a441b187dd1414b96a95b85ac6d9d6",
+        "89d12f7d866d02174cdafe464d7af323b08513019dd558881f6f1f6c54232abc",
     ("baseline", "oblivious"):
         "ec0c374df25e4429f4eee89868843f07ec37292e9c7c772caf8165b82dc386f3",
     ("baseline", "adaptive"):

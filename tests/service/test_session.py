@@ -212,6 +212,17 @@ class TestPayloads:
         factor = stats["certified_factor"]
         assert factor is None or factor >= 1.0
 
+    def test_stats_reports_matcher_delta(self):
+        # Session Δ(β, ε) and the matcher's Δ(β, ε/4) side by side.
+        for backend in ("lazy_rebuild", "oblivious"):
+            session = Session("d", 128, beta=1, epsilon=0.8,
+                              backend=backend, seed=7)
+            stats = session.stats_payload()
+            assert (stats["delta"], stats["matcher_delta"]) == (9, 48)
+            assert stats["matcher_delta"] == session.matcher.delta
+        baseline = make_session(backend="baseline").stats_payload()
+        assert baseline["matcher_delta"] is None
+
     def test_baseline_has_no_certificate(self):
         session = make_session(backend="baseline")
         session.apply("insert", 0, 1)
