@@ -12,9 +12,9 @@ The legacy mode is simulated faithfully: a *fresh* ``RuleContext`` per
 exactly one full tree walk per rule per file, which is what the old
 per-rule ``ast.walk`` calls cost.  Only the syntactic rules R1-R5 are
 compared (the flow rules R6-R9, the async-concurrency rules R10-R14,
-and the performance rules R15-R19 postdate the shared index and never
-had a per-rule-walk form); the full nineteen-rule runtime plus the
-async-only and perf-only runtimes are reported alongside for context.
+and the performance rule R15 postdate the shared index and never had a
+per-rule-walk form); the full fifteen-rule runtime plus the async-only
+and perf-only runtimes are reported alongside for context.
 Every timing is the best of ``--repeats`` runs.
 
 Usage::
@@ -44,7 +44,7 @@ _SYNTACTIC = [rule for rule in RULES.values() if rule.family == "syntactic"]
 #: The async-concurrency rules, timed as their own workload.
 _ASYNC = [rule for rule in RULES.values() if rule.family == "async"]
 
-#: The performance rules (R15-R19), timed as their own workload.
+#: The performance rule (R15), timed as its own workload.
 _PERF = [rule for rule in RULES.values() if rule.family == "perf"]
 
 
@@ -118,12 +118,12 @@ def bench_lint(target: str, repeats: int) -> dict:
         "shared_index_seconds": round(best_shared, 4),
         "speedup": round(best_legacy / best_shared, 3),
         "identical_findings": True,
-        "full_r1_r19_seconds": round(min(full_times), 4),
+        "full_r1_r15_seconds": round(min(full_times), 4),
         "async_rules": [rule.code for rule in _ASYNC],
         "async_defs": int(async_defs),
         "async_r10_r14_seconds": round(min(async_times), 4),
         "perf_rules": [rule.code for rule in _PERF],
-        "perf_r15_r19_seconds": round(min(perf_times), 4),
+        "perf_r15_seconds": round(min(perf_times), 4),
     }
 
 

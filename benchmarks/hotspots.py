@@ -1,8 +1,8 @@
 """Ranked per-call-site hotspot table of the served update path.
 
 Drives a deterministic synthetic session under the work meter
-(:mod:`repro.instrument.workmeter`, the runtime half of the perf rules
-R15-R19) and writes the ranked per-call-site hotspot table as JSON.
+(:mod:`repro.instrument.workmeter`, which counts each update's work per
+call site) and writes the ranked per-call-site hotspot table as JSON.
 The workload is a seeded insert/delete stream of :data:`STEPS` updates
 against a small session (the same shape the service bench uses), so
 the report is byte-reproducible and ranks exactly the sparsifier /

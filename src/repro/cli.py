@@ -8,7 +8,7 @@ Usage::
     repro-experiments --list          # enumerate experiment ids
     repro-experiments --version       # installed package version
     repro-experiments lint src tests  # determinism/invariant linter
-    repro-experiments lint --select R15,R16,R17,R18,R19 src  # perf rules
+    repro-experiments lint --select R15 src  # perf rule
     repro-experiments serve --port 8765 --journal-dir journals
     repro-experiments serve --port 8765 --shards 4 --journal-dir journals
     repro-experiments replay journals/mysession.jsonl --json

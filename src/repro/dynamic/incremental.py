@@ -68,9 +68,11 @@ def _augmentation_search(
         seen = [False] * n
         v = a
         # Alternating-tree walks: each hop moves strictly rootward, so
-        # both loops terminate in <= path-length <= n steps, and every
-        # hop increments `ops`, charged against the caller's ops_cap.
-        while True:  # repro-lint: ignore[R18]
+        # both loops terminate in <= path-length <= n steps.  Every hop
+        # increments `ops`, but ops_cap is checked only between queue
+        # pops, so one search can overrun it by a blossom contraction
+        # (`ops += n`) and by more than one chunk.
+        while True:
             ops += 1
             v = base[v]
             seen[v] = True
@@ -78,7 +80,7 @@ def _augmentation_search(
                 break
             v = parent[mate[v]]
         v = b
-        while True:  # repro-lint: ignore[R18]
+        while True:
             ops += 1
             v = base[v]
             if seen[v]:
@@ -88,7 +90,7 @@ def _augmentation_search(
     def mark_path(v: int, blossom_base: int, child: int) -> None:
         nonlocal ops
         # Bounded by the blossom path length (<= n); ops-charged hops.
-        while base[v] != blossom_base:  # repro-lint: ignore[R18]
+        while base[v] != blossom_base:
             ops += 1
             in_blossom[base[v]] = True
             in_blossom[base[mate[v]]] = True
@@ -128,9 +130,10 @@ def _augmentation_search(
 
 def _apply_augmentation(mate: list[int], parent: list[int], free_end: int) -> None:
     v = free_end
-    # Walks one augmenting path root-ward: <= path-length <= n hops,
-    # already charged to the search's ops_cap by the caller.
-    while v != -1:  # repro-lint: ignore[R18]
+    # Walks one augmenting path root-ward: <= path-length <= n hops.
+    # The hops are not counted in `ops`, and the search that found the
+    # path checks its ops_cap only between queue pops.
+    while v != -1:
         pv = parent[v]
         nxt = mate[pv]
         mate[v] = pv
@@ -189,7 +192,7 @@ def incremental_rebuild(
         # The Delta-sample must materialize its pick list (fresh
         # randomness per vertex); one segmented draw for the whole
         # stage was measured slower (docs/PERFORMANCE.md).
-        marks = sample(v, delta, rng)  # repro-lint: ignore[R17]
+        marks = sample(v, delta, rng)
         ops += max(1, len(marks))
         if meter is not None:
             meter.count("vertex-scan", "incremental_rebuild.sample")
@@ -260,7 +263,7 @@ def incremental_rebuild(
             # Each search allocates one BFS deque; scratch lists are
             # already hoisted (parent/base/in_tree/in_blossom above) —
             # the deque joins them in the vectorization rewrite.
-            end, cost = _augmentation_search(  # repro-lint: ignore[R17]
+            end, cost = _augmentation_search(
                 adj, mate, root, parent, base, in_tree, in_blossom,
                 ops_cap=ops_cap,
             )

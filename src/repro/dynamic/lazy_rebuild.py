@@ -109,7 +109,7 @@ class WindowedRebuild:
             except StopIteration as stop:
                 # Runs once per *completed rebuild* (amortized over the
                 # whole update window), not per pumped chunk.
-                new_mate = np.asarray(  # repro-lint: ignore[R17]
+                new_mate = np.asarray(
                     stop.value, dtype=np.int64
                 )
                 # Prune edges deleted while the rebuild was in flight.

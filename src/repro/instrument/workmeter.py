@@ -1,11 +1,13 @@
 """Deterministic per-call-site work counting (``REPRO_WORK_AUDIT=1``).
 
-The runtime half of the performance pass (R15-R19 in
-:mod:`repro.lint.perf_flow`): where the static rules reason about where
-work *could* go, this meter counts where it *does* go.  The hot methods
-of the dynamic sparsifier and the matcher backends carry cheap counting
-seams that are no-ops until a meter is installed; with one active, every
-update accumulates operation counts in four categories —
+The repo's one measure of where update work goes: the static rule R15
+(:mod:`repro.lint.perf_flow`) only points at scalar loops that could be
+vectorized, while this meter counts the work each update actually
+does, per call site, and is what the Theorem 3.5 cap check reads.  The
+hot methods of the dynamic sparsifier and the matcher backends carry
+cheap counting seams that are no-ops until a meter is installed; with
+one active, every update accumulates operation counts in four
+categories —
 
 ``edge-touch``
     an adjacency entry read, written, or probed;

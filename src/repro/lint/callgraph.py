@@ -2,12 +2,12 @@
 whole-program rules.
 
 The single-file rules R1-R5 see one parsed module at a time; the flow
-rules R6-R9 (:mod:`repro.lint.flow`), the async rules R10-R14
-(:mod:`repro.lint.async_flow`) and the performance rules R15-R19
-(:mod:`repro.lint.perf_flow`) need to answer *cross-module* questions —
-"does this imported helper return a live ``Generator``?", "is this
-function reachable from an update entry point?".  This module builds
-that context:
+rules R6-R9 (:mod:`repro.lint.flow`) and the async rules R10-R14
+(:mod:`repro.lint.async_flow`) need to answer *cross-module* questions —
+"does this imported helper return a live ``Generator``?", "does this
+helper block the event loop?".  The performance rule R15
+(:mod:`repro.lint.perf_flow`) is per-module but runs through the same
+pass harness.  This module builds that context:
 
 * :class:`ModuleInfo` — one parsed module plus its import map and the
   function/class definitions it hosts;

@@ -8,7 +8,7 @@ Usage::
     repro-experiments lint --format github src   # Actions annotations
     repro-experiments lint --select R1,R4 src    # subset of rules
     repro-experiments lint --select R6,R7,R8,R9 src   # RNG-flow rules
-    repro-experiments lint --select R15,R16,R17,R18,R19 \\
+    repro-experiments lint --select R15 \\
         --baseline results/perf_baseline.json src     # the perf gate
     repro-experiments lint --explain             # print the rule table
 
@@ -16,11 +16,12 @@ The default run covers the correctness rules R1-R14: the syntactic
 rules, the whole-program RNG-flow rules R6-R9 (the static half of the
 ``REPRO_RNG_SANITIZE=1`` runtime sanitizer) and the async-concurrency
 rules R10-R14 (the static half of the ``REPRO_ASYNC_SANITIZE=1``
-deterministic-scheduler sanitizer).  The performance rules R15-R19 of
-:mod:`repro.lint.perf_flow` run only when ``--select`` names them;
-their runtime half is ``REPRO_WORK_AUDIT=1``
-(:mod:`repro.instrument.workmeter`).  ``--explain`` prints the rules
-``--select`` names, or the whole catalogue.
+deterministic-scheduler sanitizer).  The performance rule R15 of
+:mod:`repro.lint.perf_flow` runs only when ``--select`` names it; the
+per-update work cap itself is checked at run time under
+``REPRO_WORK_AUDIT=1`` (:mod:`repro.instrument.workmeter`).
+``--explain`` prints the rules ``--select`` names, or the whole
+catalogue.
 
 ``--baseline FILE`` / ``--write-baseline FILE`` (see
 :mod:`repro.lint.baseline`): a recorded baseline suppresses known
@@ -70,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments lint",
         description="AST determinism & invariant linter (rules R1-R14 by "
-                    "default, perf rules R15-R19 via --select; suppress "
+                    "default, perf rule R15 via --select; suppress "
                     "per line with `# repro-lint: ignore[R..]`).",
     )
     parser.add_argument(
@@ -85,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--select", metavar="RULES", default=None,
         help="comma-separated rule codes to run (default: every rule "
-             "but the perf rules R15-R19)",
+             "but the perf rule R15)",
     )
     parser.add_argument(
         "--explain", action="store_true",
@@ -125,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         print(_explain(rules))
         return 0
     if args.select is None:
-        # Perf rules are opt-in: the default run is the correctness gate.
+        # The perf rule is opt-in: the default run is the correctness gate.
         rules = [rule for rule in rules if rule.family != "perf"]
 
     try:

@@ -1,4 +1,4 @@
-"""The rule catalogue: nineteen checks behind one registry.
+"""The rule catalogue: fifteen checks behind one registry.
 
 Each rule is a pure function from a parsed module to a list of
 :class:`~repro.lint.violations.Violation`.  The registry drives the
@@ -40,13 +40,11 @@ R6-R9, family ``flow``
     generator escape, process-boundary crossing, draw-order hazard).
 R10-R14, family ``async``
     The async-concurrency pass of :mod:`repro.lint.async_flow`.
-R15-R19, family ``perf``
+R15, family ``perf``
     The performance pass of :mod:`repro.lint.perf_flow`: scalar loops
-    over the array substrate, quadratic membership, per-iteration
-    allocation, unbudgeted while loops, and loop-invariant
-    recomputation on the hot update path.  They are opt-in — ``lint``
-    runs them only when ``--select`` names them, so the repo-wide
-    determinism gate stays focused on correctness.
+    over the array substrate.  It is opt-in — ``lint`` runs it only
+    when ``--select`` names it, so the repo-wide determinism gate stays
+    focused on correctness.
 
 See each pass's docstring for the semantics and ``docs/LINTING.md`` for
 worked examples.
@@ -177,8 +175,8 @@ class Rule:
     family:
         ``"syntactic"`` (R1-R5), or the whole-program pass the rule
         belongs to: ``"flow"`` (R6-R9), ``"async"`` (R10-R14) or
-        ``"perf"`` (R15-R19).  Perf rules are excluded from the default
-        ``lint`` run.
+        ``"perf"`` (R15).  The perf family is excluded from the
+        default ``lint`` run.
     """
 
     code: str
@@ -523,19 +521,4 @@ RULES: dict[str, Rule] = {
                       "no scalar python for-loop over graph substrate or "
                       "numpy arrays doing per-element array work; vectorize "
                       "over the flat adjacency arrays"),
-    "R16": _pass_rule("R16", "perf", "quadratic-membership",
-                      "no list/tuple `in` probes or index()/remove() inside "
-                      "loops reachable from update/rebuild paths; use "
-                      "sets/dicts"),
-    "R17": _pass_rule("R17", "perf", "hot-loop-allocation",
-                      "no container/array construction, comprehension, or "
-                      "string formatting per iteration in functions "
-                      "reachable from the update entry points"),
-    "R18": _pass_rule("R18", "perf", "unbounded-work-path",
-                      "every while loop reachable from a session update is "
-                      "dominated by a budget/chunk/cap check (the Theorem "
-                      "3.5 max_chunks_per_update cap)"),
-    "R19": _pass_rule("R19", "perf", "redundant-recompute",
-                      "no loop-invariant len()/attribute-chain re-evaluated "
-                      "every iteration; hoist it before the loop"),
 }

@@ -1,6 +1,6 @@
 """Findings oracle: every rule's exact findings on every fixture.
 
-Pins the sorted ``(line, col, code)`` findings of all nineteen rules
+Pins the sorted ``(line, col, code)`` findings of all fifteen rules
 over each of the files in ``tests/lint/fixtures`` (passed explicitly,
 since directory discovery skips ``fixtures/``), so a refactor of the
 analyzer's plumbing cannot move, add or drop a finding unnoticed.  Two
@@ -11,7 +11,7 @@ views are pinned:
   where R4 (package scope) and R5's set-iteration half (table scope)
   also apply.
 
-It also pins the CI performance gate: the perf rules over ``src`` with
+It also pins the CI performance gate: the perf rule over ``src`` with
 the committed baseline exit 0, with exactly the baselined findings
 suppressed.
 """
@@ -44,14 +44,6 @@ AS_IS = {
     "r14_pass.py": [],
     "r15_fail.py": [(7, 4, "R15"), (15, 4, "R15"), (24, 4, "R15")],
     "r15_pass.py": [],
-    "r16_fail.py": [(12, 15, "R16"), (15, 12, "R16")],
-    "r16_pass.py": [],
-    "r17_fail.py": [(8, 21, "R17"), (10, 12, "R17"), (22, 25, "R17")],
-    "r17_pass.py": [],
-    "r18_fail.py": [(6, 8, "R18"), (12, 8, "R18")],
-    "r18_pass.py": [],
-    "r19_fail.py": [(7, 37, "R19"), (8, 29, "R19"), (16, 18, "R19")],
-    "r19_pass.py": [],
     "r1_fail.py": [(4, 0, "R1"), (9, 11, "R1"), (14, 11, "R1")],
     "r1_pass.py": [],
     "r2_fail.py": [(5, 0, "R2"), (10, 11, "R2"), (15, 11, "R2")],
@@ -88,14 +80,6 @@ IN_PACKAGE = {
     "r14_pass.py": [],
     "r15_fail.py": [(7, 4, "R15"), (15, 4, "R15"), (24, 4, "R15")],
     "r15_pass.py": [],
-    "r16_fail.py": [(12, 15, "R16"), (15, 12, "R16")],
-    "r16_pass.py": [],
-    "r17_fail.py": [(8, 21, "R17"), (10, 12, "R17"), (22, 25, "R17")],
-    "r17_pass.py": [],
-    "r18_fail.py": [(6, 8, "R18"), (12, 8, "R18")],
-    "r18_pass.py": [],
-    "r19_fail.py": [(7, 37, "R19"), (8, 29, "R19"), (16, 18, "R19")],
-    "r19_pass.py": [],
     "r1_fail.py": [(4, 0, "R1"), (9, 11, "R1"), (14, 11, "R1")],
     "r1_pass.py": [],
     "r2_fail.py": [(5, 0, "R2"), (10, 11, "R2"), (15, 11, "R2")],
@@ -162,7 +146,7 @@ def test_perf_gate_over_src_suppresses_exactly_the_baseline(
         capsys, monkeypatch):
     monkeypatch.chdir(REPO)
     code = lint_main([
-        "--select", "R15,R16,R17,R18,R19",
+        "--select", "R15",
         "--baseline", "results/perf_baseline.json", "src",
     ])
     captured = capsys.readouterr()

@@ -190,8 +190,8 @@ def test_repository_tree_is_clean():
     """The enforced gate: src and tests lint clean (fixtures excepted).
 
     Mirrors the default ``lint`` CLI: the correctness rules R1-R14.
-    The perf rules R15-R19 are opt-in advisories gated separately —
-    over the hot trees they must be clean
+    The perf rule R15 is an opt-in advisory gated separately — over
+    the hot trees it must be clean
     (``tests/lint/test_perf_flow.py``), while known findings elsewhere
     ratchet down via ``results/perf_baseline.json``
     (``tests/lint/test_findings_oracle.py``).
