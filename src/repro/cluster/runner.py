@@ -5,21 +5,24 @@ calls: spawn the shard workers (:class:`ClusterSupervisor`), run the
 :class:`ClusterRouter` in the foreground until SIGTERM/SIGINT or a
 client ``shutdown``, then stop the workers gracefully and report a
 composite exit code.  :class:`BackgroundCluster` is the tests' and
-benchmarks' counterpart of :class:`~repro.service.server.BackgroundServer`:
-real worker *processes*, but the router on a daemon thread and the
-whole thing a context manager.
+benchmarks' :class:`~repro.service.server.BackgroundServer` for a
+cluster: real worker *processes*, but the router on a daemon thread and
+the whole thing a context manager.
 """
 
 from __future__ import annotations
 
 import asyncio
 import sys
-import threading
 from pathlib import Path
 
 from repro.cluster.router import ClusterRouter
 from repro.cluster.supervisor import ClusterSupervisor
-from repro.service.server import _run_service_loop
+from repro.service.server import (
+    BackgroundServer,
+    _run_service_loop,
+    _shutdown_on_signals,
+)
 
 #: How often the foreground supervisor polls for dead workers (seconds).
 _WATCH_INTERVAL = 1.0
@@ -61,8 +64,6 @@ def run_cluster(
     SIGTERMs the workers and waits for their graceful exits.  Returns 0
     only when every worker exited 0 and none died mid-run.
     """
-    import signal as _signal
-
     supervisor = ClusterSupervisor(
         shards=shards,
         journal_dir=journal_dir,
@@ -84,27 +85,19 @@ def run_cluster(
 
     async def main() -> None:
         nonlocal worker_died
-        loop = asyncio.get_running_loop()
-        installed = []
-        for signum in (_signal.SIGTERM, _signal.SIGINT):
+        with _shutdown_on_signals(router.request_shutdown):
+            watcher = asyncio.get_running_loop().create_task(
+                _watch_workers(supervisor, router))
             try:
-                loop.add_signal_handler(signum, router.request_shutdown)
-                installed.append(signum)
-            except (NotImplementedError, RuntimeError):
-                pass
-        watcher = loop.create_task(_watch_workers(supervisor, router))
-        try:
-            await router.serve_forever(host, port, announce=True)
-        finally:
-            if watcher.done() and not watcher.cancelled():
-                worker_died = True
-            watcher.cancel()
-            try:
-                await watcher
-            except asyncio.CancelledError:
-                pass
-            for signum in installed:
-                loop.remove_signal_handler(signum)
+                await router.serve_forever(host, port, announce=True)
+            finally:
+                if watcher.done() and not watcher.cancelled():
+                    worker_died = True
+                watcher.cancel()
+                try:
+                    await watcher
+                except asyncio.CancelledError:
+                    pass
 
     try:
         try:
@@ -118,7 +111,7 @@ def run_cluster(
     return 0
 
 
-class BackgroundCluster:
+class BackgroundCluster(BackgroundServer):
     """A full cluster behind one ephemeral port (tests/benchmarks).
 
     Real shard worker *processes* plus the router on a daemon thread::
@@ -132,6 +125,9 @@ class BackgroundCluster:
     down, then SIGTERMs the workers and records their
     :attr:`worker_exit_codes` (graceful workers exit 0 with journals
     flushed, so replay is valid immediately after the ``with`` block).
+    The thread, readiness and router shutdown are
+    :class:`~repro.service.server.BackgroundServer`'s, with the
+    :class:`ClusterRouter` as its :attr:`service`.
     """
 
     def __init__(self, shards: int = 2,
@@ -142,39 +138,19 @@ class BackgroundCluster:
             shards=shards, journal_dir=journal_dir, **worker_config
         )
         self.window = window
-        self.router: ClusterRouter | None = None
-        self.host: str | None = None
-        self.port: int | None = None
+        self.service: ClusterRouter | None = None
         self.worker_exit_codes: list[int] | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._ready = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        async def main() -> None:
-            self._loop = asyncio.get_running_loop()
-
-            def ready(host: str, port: int) -> None:
-                self.host, self.port = host, port
-                self._ready.set()
-
-            assert self.router is not None
-            await self.router.serve_forever(on_ready=ready)
-
-        _run_service_loop(main())
 
     def __enter__(self) -> "BackgroundCluster":
         """Start workers, then the router thread; block until listening."""
         self.supervisor.start()
         try:
-            self.router = ClusterRouter(
+            self.service = ClusterRouter(
                 self.supervisor.addresses(),
                 window=self.window,
                 allow_shutdown=True,
             )
-            self._thread.start()
-            if not self._ready.wait(timeout=30):  # pragma: no cover
-                raise RuntimeError("background cluster failed to start")
+            super().__enter__()
         except Exception:
             self.supervisor.stop()
             raise
@@ -182,12 +158,5 @@ class BackgroundCluster:
 
     def __exit__(self, *exc: object) -> None:
         """Stop the router, then the workers; record their exit codes."""
-        if self._loop is not None and self.router is not None:
-            try:
-                self._loop.call_soon_threadsafe(self.router.request_shutdown)
-            except RuntimeError:
-                # Loop already closed: the router shut down on its own
-                # (client-issued shutdown or a dead worker) — fine.
-                pass
-        self._thread.join(timeout=30)
+        super().__exit__(*exc)
         self.worker_exit_codes = self.supervisor.stop()

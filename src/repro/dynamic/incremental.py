@@ -31,6 +31,10 @@ from repro.instrument.rng import resolve_rng
 #: driver converts chunks to the per-update budget.
 DEFAULT_CHUNK = 256
 
+#: One augmentation search stops once it has spent this many times Δ
+#: operations (checked between queue pops).
+SEARCH_CAP_FACTOR = 64
+
 
 def _augmentation_search(
     adj: list[list[int]],
@@ -40,7 +44,7 @@ def _augmentation_search(
     base: list[int],
     in_tree: list[bool],
     in_blossom: list[bool],
-    ops_cap: int | None = None,
+    ops_cap: int,
 ) -> tuple[int, int]:
     """One blossom BFS from ``root``; returns (free_end | -1, ops).
 
@@ -99,7 +103,7 @@ def _augmentation_search(
             v = parent[mate[v]]
 
     while queue:
-        if ops_cap is not None and ops > ops_cap:
+        if ops > ops_cap:
             return -1, ops
         v = queue.popleft()
         for to in adj[v]:
@@ -147,7 +151,6 @@ def incremental_rebuild(
     sweeps: int,
     rng: np.random.Generator | None = None,
     chunk: int = DEFAULT_CHUNK,
-    search_cap_factor: int = 64,
     *,
     seed: int | None = None,
 ) -> Generator[int, None, np.ndarray]:
@@ -250,7 +253,7 @@ def incremental_rebuild(
     base = list(range(n))
     in_tree = [False] * n
     in_blossom = [False] * n
-    ops_cap = search_cap_factor * delta if search_cap_factor else None
+    ops_cap = SEARCH_CAP_FACTOR * delta
     for _ in range(sweeps):
         augmented = False
         # Scalar by design, like the greedy stage: per-root searches

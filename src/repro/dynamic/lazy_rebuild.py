@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.delta import DeltaPolicy
 from repro.dynamic.graph import DynamicGraph
-from repro.dynamic.incremental import DEFAULT_CHUNK, incremental_rebuild
+from repro.dynamic.incremental import incremental_rebuild
 from repro.instrument import workmeter
 from repro.instrument.rng import resolve_rng
 from repro.matching.matching import Matching
@@ -175,9 +175,6 @@ class LazyRebuildMatching(WindowedRebuild):
         Seed or generator for the sparsifier sampling inside rebuilds.
     policy:
         Δ policy (default practical).
-    chunk:
-        Elementary operations per work chunk (see
-        :mod:`repro.dynamic.incremental`).
     max_chunks_per_update:
         Optional *hard* cap on per-update work, enforcing the theorem's
         budget literally.  With a cap, a rebuild that would need more
@@ -204,7 +201,6 @@ class LazyRebuildMatching(WindowedRebuild):
         epsilon: float,
         rng: np.random.Generator | None = None,
         policy: DeltaPolicy | None = None,
-        chunk: int = DEFAULT_CHUNK,
         max_chunks_per_update: int | None = None,
         *,
         seed: int | None = None,
@@ -217,7 +213,6 @@ class LazyRebuildMatching(WindowedRebuild):
         self.delta = self._policy.delta(beta, self._static_eps, num_vertices)
         self._sweeps = math.ceil(1.0 / self._static_eps) + 1
         self._rng = resolve_rng(seed=seed, rng=rng, owner="LazyRebuildMatching")
-        self._chunk = chunk
         self._start_rebuild()
 
     # ------------------------------------------------------------------ #
@@ -228,7 +223,6 @@ class LazyRebuildMatching(WindowedRebuild):
             self.delta,
             self._sweeps,
             self._rng.spawn(1)[0],
-            chunk=self._chunk,
         )
 
     # ------------------------------------------------------------------ #

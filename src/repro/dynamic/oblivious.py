@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.delta import DeltaPolicy
 from repro.dynamic.dynamic_sparsifier import DynamicSparsifier
+from repro.dynamic.incremental import DEFAULT_CHUNK
 from repro.dynamic.lazy_rebuild import WindowedRebuild
 from repro.instrument.rng import resolve_rng
 
@@ -28,9 +29,11 @@ from repro.instrument.rng import resolve_rng
 class ObliviousDynamicMatching(WindowedRebuild):
     """Dynamic (1+ε)-matching via a maintained sparsifier (oblivious only).
 
-    Parameters mirror :class:`~repro.dynamic.lazy_rebuild.LazyRebuildMatching`;
-    the difference is that rebuilds *read the maintained G_Δ* rather than
-    drawing fresh per-rebuild samples.
+    Parameters are those of
+    :class:`~repro.dynamic.lazy_rebuild.LazyRebuildMatching` without its
+    Δ policy and work cap (Δ is the practical policy's); the difference
+    is that rebuilds *read the maintained G_Δ* rather than drawing fresh
+    per-rebuild samples, chunked every ``DEFAULT_CHUNK`` edges scanned.
 
     Attributes
     ----------
@@ -46,21 +49,18 @@ class ObliviousDynamicMatching(WindowedRebuild):
         beta: int,
         epsilon: float,
         rng: np.random.Generator | None = None,
-        policy: DeltaPolicy | None = None,
-        chunk_edges: int = 256,
         *,
         seed: int | None = None,
     ) -> None:
         super().__init__(num_vertices, epsilon)
         self.beta = beta
-        pol = policy or DeltaPolicy.practical()
-        self.delta = pol.delta(beta, epsilon / 4.0, num_vertices)
+        self.delta = DeltaPolicy.practical().delta(
+            beta, epsilon / 4.0, num_vertices)
         self.sparsifier = DynamicSparsifier(
             num_vertices,
             self.delta,
             rng=resolve_rng(seed=seed, rng=rng, owner="ObliviousDynamicMatching"),
         )
-        self._chunk_edges = chunk_edges
         self._start_rebuild()
 
     # ------------------------------------------------------------------ #
@@ -79,7 +79,7 @@ class ObliviousDynamicMatching(WindowedRebuild):
             if (mate[u] == -1 and mate[v] == -1
                     and self.graph.has_edge(u, v)):
                 mate[u], mate[v] = v, u
-            if scanned % self._chunk_edges == 0:
+            if scanned % DEFAULT_CHUNK == 0:
                 yield 1
         yield 1
         return mate

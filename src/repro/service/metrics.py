@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from repro.instrument.counters import CounterSet
 
 #: Default per-update latency budget (milliseconds) when a session does
-#: not configure one.  Generous for the pure-python update path; the
-#: benchmark asserts real p99 sits far below it.
+#: not configure one.  Generous for the pure-python update path;
+#: ``tests/service/test_loadgen.py`` asserts p99 stays under it.
 DEFAULT_BUDGET_MS = 50.0
 
 
@@ -77,17 +77,6 @@ class LatencyRecorder:
         self.samples_ms.append(ms)
         if ms > self.budget_ms:
             self.over_budget += 1
-
-    def sorted_samples(self) -> list[float]:
-        """All recorded samples, sorted ascending — the *mergeable* form.
-
-        Cluster-wide percentiles must be taken over the union of every
-        shard's samples (averaging per-shard percentiles is wrong for
-        any skewed distribution); shards therefore export sorted sample
-        lists and :func:`repro.cluster.metrics.merge_latency` k-way
-        merges them before ranking.
-        """
-        return sorted(self.samples_ms)
 
     def snapshot(self) -> dict:
         """Percentile summary: count, p50/p95/p99/max ms, budget, misses."""

@@ -17,13 +17,15 @@ updates and backpressure all map to stable error codes
 reported as ``internal`` without killing the connection.
 
 :class:`BackgroundServer` runs the whole thing on an ephemeral port in
-a daemon thread — the harness used by the test-suite, the benchmark,
-and ``examples/service_demo.py``.
+a daemon thread — the harness used by the test-suite and
+``examples/service_demo.py``, and the base of the cluster's
+:class:`~repro.cluster.runner.BackgroundCluster`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import signal
 import sys
 import threading
@@ -474,27 +476,37 @@ def run_server(
     )
 
     async def main() -> None:
-        loop = asyncio.get_running_loop()
-        installed = []
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, service.request_shutdown)
-                installed.append(signum)
-            except (NotImplementedError, RuntimeError):
-                # Non-main thread or a platform without loop signal
-                # support; the shutdown op still works.
-                pass
-        try:
+        with _shutdown_on_signals(service.request_shutdown):
             await service.serve_forever(host, port, announce=True)
-        finally:
-            for signum in installed:
-                loop.remove_signal_handler(signum)
 
     try:
         _run_service_loop(main())
     except KeyboardInterrupt:  # pragma: no cover - interactive use
         print("interrupted; shutting down", file=sys.stderr)
     return 0
+
+
+@contextlib.contextmanager
+def _shutdown_on_signals(request_shutdown: Callable[[], None]):
+    """Route SIGTERM/SIGINT to ``request_shutdown`` on the running loop.
+
+    The handlers are removed again on exit.  Where the loop cannot take
+    signal handlers (a non-main thread, or a platform without loop
+    signal support) nothing is installed; the shutdown op still works.
+    """
+    loop = asyncio.get_running_loop()
+    installed = []
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        try:
+            loop.add_signal_handler(signum, request_shutdown)
+            installed.append(signum)
+        except (NotImplementedError, RuntimeError):
+            pass
+    try:
+        yield
+    finally:
+        for signum in installed:
+            loop.remove_signal_handler(signum)
 
 
 def _run_service_loop(main) -> object:
@@ -523,18 +535,21 @@ class BackgroundServer:
 
     The context manager waits until the socket is listening on entry
     and requests a clean shutdown (draining batchers, closing
-    journals) on exit.
+    journals) on exit.  It serves whatever :attr:`service` holds at
+    entry: anything with ``serve_forever(on_ready=...)`` and
+    ``request_shutdown()`` (:class:`~repro.cluster.runner.BackgroundCluster`
+    puts its router there).
     """
+
+    #: The listening address, set once the server is up.
+    host: str | None = None
+    port: int | None = None
+    _loop: asyncio.AbstractEventLoop | None = None
 
     def __init__(self, **config) -> None:
         """Store the :class:`MatchingService` configuration."""
         config.setdefault("allow_shutdown", True)
         self.service = MatchingService(**config)
-        self.host: str | None = None
-        self.port: int | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._ready = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
 
     def _run(self) -> None:
         async def main() -> None:
@@ -550,9 +565,11 @@ class BackgroundServer:
 
     def __enter__(self) -> "BackgroundServer":
         """Start the thread and block until the server is listening."""
+        self._ready = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
         self._thread.start()
         if not self._ready.wait(timeout=30):  # pragma: no cover - hang guard
-            raise RuntimeError("background server failed to start")
+            raise RuntimeError(f"{type(self).__name__} failed to start")
         return self
 
     def __exit__(self, *exc: object) -> None:
@@ -563,7 +580,8 @@ class BackgroundServer:
                     self.service.request_shutdown
                 )
             except RuntimeError:
-                # Loop already closed: a client issued ``shutdown`` and
-                # the server stopped on its own — nothing left to do.
+                # Loop already closed: the service stopped on its own
+                # (a client-issued ``shutdown``, or a dead shard worker
+                # under a cluster router) — nothing left to do.
                 pass
         self._thread.join(timeout=30)

@@ -89,14 +89,6 @@ class TestRebuild:
         )
         assert chunks_small > chunks_big
 
-    def test_search_cap_disabled(self, rng):
-        host = clique_union(2, 10)
-        g = _loaded(host)
-        mate, _ = _drain(
-            incremental_rebuild(g, 4, 3, rng, search_cap_factor=0)
-        )
-        assert Matching(np.asarray(mate)).is_valid_for(g.snapshot())
-
 
 @pytest.mark.fast
 class TestAccountingOracle:

@@ -47,16 +47,22 @@ class TestRunLoad:
         assert first["matching"] == second["matching"]
         assert first["attacks"] == second["attacks"]
 
-    def test_journal_replays_to_live_state(self, tmp_path):
+    @pytest.mark.parametrize("adversary, batch_size", [
+        ("oblivious", 1), ("oblivious", 32), ("adaptive", 16),
+    ])
+    def test_journal_replays_to_live_state(self, tmp_path, adversary,
+                                           batch_size):
         with BackgroundServer(journal_dir=tmp_path) as srv:
             with ServiceClient(srv.host, srv.port) as cli:
-                report = run_load(cli, "replayed", adversary="adaptive",
-                                  steps=120, seed=5)
+                report = run_load(cli, "replayed", adversary=adversary,
+                                  steps=600, batch_size=batch_size, seed=0)
                 live = srv.service.sessions["replayed"]
                 replayed = replay_journal(tmp_path / "replayed.jsonl")
                 check_replay_sessions(live, replayed)
         assert replayed.fingerprint() == report["fingerprint"]
         assert replayed.matching_payload()["edges"] == report["matching"]
+        latency = report["stats"]["latency"]
+        assert latency["p99_ms"] <= latency["budget_ms"]
 
 
 class TestCli:
