@@ -14,6 +14,8 @@ endpoint marks it), so membership updates are O(1) per mark.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro.dynamic.graph import DynamicGraph
@@ -121,9 +123,22 @@ class DynamicSparsifier:
         """Current E(G_Δ) as normalized pairs."""
         return set(self._edge_refs)
 
+    def edge_array(self) -> np.ndarray:
+        """Current E(G_Δ) as an ``(m, 2)`` int64 array of normalized
+        pairs in lexicographic order (the order of ``sorted(edges())``).
+
+        The pairs are ordered by the int64 key ``u·n + v``, one
+        ``argsort`` instead of a sort over Python tuples.
+        """
+        m = len(self._edge_refs)
+        pairs = np.fromiter(chain.from_iterable(self._edge_refs),
+                            dtype=np.int64, count=2 * m).reshape(m, 2)
+        keys = pairs[:, 0] * self.graph.num_vertices + pairs[:, 1]
+        return pairs[np.argsort(keys)]
+
     def sparsifier(self) -> AdjacencyArrayGraph:
         """Materialize the current G_Δ (O(n + |E_Δ|))."""
-        return from_edges(self.graph.num_vertices, sorted(self._edge_refs))
+        return from_edges(self.graph.num_vertices, self.edge_array())
 
     def max_work_per_update(self) -> int:
         """Maximum mark operations in any single update."""

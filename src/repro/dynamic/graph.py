@@ -4,7 +4,10 @@ Standard model (Section 3.3): fixed vertex set, single-edge insertions
 and deletions.  Per-vertex adjacency is a dynamic array plus a position
 map, giving O(1) insert, O(1) delete (swap-with-last), O(1) degree, and
 O(k) uniform k-neighbor sampling — exactly the operations the dynamic
-sparsifier maintenance and the windowed rebuilds need.
+sparsifier maintenance and the windowed rebuilds need.  Beside each
+neighbour array sits an aligned array of the canonical ``(min, max)``
+edge tuples (one tuple object per edge, shared by both endpoints), so a
+sample can be read out as neighbours or as ready-made edge keys.
 """
 
 from __future__ import annotations
@@ -31,12 +34,17 @@ class DynamicGraph:
     verification and exact-matching oracles in experiments.
     """
 
-    __slots__ = ("_adj", "_pos", "_num_edges", "_non_isolated", "version")
+    __slots__ = ("_adj", "_edges", "_pos", "_num_edges", "_non_isolated",
+                 "version")
 
     def __init__(self, num_vertices: int) -> None:
         if num_vertices < 0:
             raise ValueError(f"num_vertices must be non-negative, got {num_vertices}")
         self._adj: list[list[int]] = [[] for _ in range(num_vertices)]
+        #: ``_edges[v][i]`` is the canonical tuple of {v, _adj[v][i]}.
+        self._edges: list[list[tuple[int, int]]] = [
+            [] for _ in range(num_vertices)
+        ]
         self._pos: list[dict[int, int]] = [{} for _ in range(num_vertices)]
         self._num_edges = 0
         self._non_isolated: set[int] = set()
@@ -80,7 +88,37 @@ class DynamicGraph:
         """
         return self._pos
 
-    # Hot-loop primitive on the update path (Theorem 3.5's per-update
+    def _sample(self, rows: list[list], v: int, k: int,
+                rng: np.random.Generator) -> list:
+        """The one sampler draw: ``rows[v]`` at min(k, deg) uniform picks.
+
+        ``rows`` is ``_adj`` or the aligned ``_edges``, so both
+        projections draw the same picks and count the same work.
+        """
+        row = rows[v]
+        deg = len(row)
+        meter = workmeter.active()
+        if meter is not None:
+            meter.count("vertex-scan", "DynamicGraph.sample_neighbors")
+        if deg == 0:
+            return []
+        if k >= deg:
+            if meter is not None:
+                meter.count("edge-touch", "DynamicGraph.sample_neighbors",
+                            deg)
+                meter.count("allocation", "DynamicGraph.sample_neighbors")
+            return list(row)
+        if meter is not None:
+            meter.count("rng-draw", "DynamicGraph.sample_neighbors")
+            meter.count("edge-touch", "DynamicGraph.sample_neighbors", k)
+            meter.count("allocation", "DynamicGraph.sample_neighbors")
+        if deg > _KEY_SAMPLE_MAX_RATIO * k:
+            picks = rng.choice(deg, size=k, replace=False)
+        else:
+            picks = rng.random(deg).argpartition(k - 1)[:k]
+        return [row[i] for i in picks.tolist()]
+
+    # Hot-loop primitives on the update path (Theorem 3.5's per-update
     # budget): callers thread one long-lived generator through many calls,
     # so a per-call seed= resolution would add overhead and mislead.
     def sample_neighbors(  # repro-lint: ignore[R4]
@@ -94,28 +132,17 @@ class DynamicGraph:
         while ``deg <= 50·k``; above that (numpy's own ``choice``
         cutoff) one O(k) ``choice`` draw is used instead.
         """
-        nbrs = self._adj[v]
-        deg = len(nbrs)
-        meter = workmeter.active()
-        if meter is not None:
-            meter.count("vertex-scan", "DynamicGraph.sample_neighbors")
-        if deg == 0:
-            return []
-        if k >= deg:
-            if meter is not None:
-                meter.count("edge-touch", "DynamicGraph.sample_neighbors",
-                            deg)
-                meter.count("allocation", "DynamicGraph.sample_neighbors")
-            return list(nbrs)
-        if meter is not None:
-            meter.count("rng-draw", "DynamicGraph.sample_neighbors")
-            meter.count("edge-touch", "DynamicGraph.sample_neighbors", k)
-            meter.count("allocation", "DynamicGraph.sample_neighbors")
-        if deg > _KEY_SAMPLE_MAX_RATIO * k:
-            picks = rng.choice(deg, size=k, replace=False)
-        else:
-            picks = rng.random(deg).argpartition(k - 1)[:k]
-        return [nbrs[i] for i in picks.tolist()]
+        return self._sample(self._adj, v, k, rng)
+
+    def sample_edges(  # repro-lint: ignore[R4]
+        self, v: int, k: int, rng: np.random.Generator
+    ) -> list[tuple[int, int]]:
+        """The :meth:`sample_neighbors` draw as canonical edge tuples.
+
+        Same picks, same draws and same counted work; the i-th entry is
+        ``(min(v, u), max(v, u))`` for the i-th sampled neighbour u.
+        """
+        return self._sample(self._edges, v, k, rng)
 
     # ------------------------------------------------------------------ #
     def insert(self, u: int, v: int) -> None:
@@ -130,9 +157,11 @@ class DynamicGraph:
             raise ValueError(f"self-loop ({u}, {v})")
         if v in self._pos[u]:
             raise ValueError(f"edge ({u}, {v}) already present")
+        edge = (u, v) if u < v else (v, u)
         for a, b in ((u, v), (v, u)):
             self._pos[a][b] = len(self._adj[a])
             self._adj[a].append(b)
+            self._edges[a].append(edge)
         self._non_isolated.add(u)
         self._non_isolated.add(v)
         self._num_edges += 1
@@ -153,9 +182,12 @@ class DynamicGraph:
             raise ValueError(f"edge ({u}, {v}) not present")
         for a, b in ((u, v), (v, u)):
             i = self._pos[a].pop(b)
-            last = self._adj[a][-1]
-            self._adj[a][i] = last
-            self._adj[a].pop()
+            nbrs, edges = self._adj[a], self._edges[a]
+            last = nbrs[-1]
+            nbrs[i] = last
+            nbrs.pop()
+            edges[i] = edges[-1]
+            edges.pop()
             if last != b:
                 self._pos[a][last] = i
         for w in (u, v):

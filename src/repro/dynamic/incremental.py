@@ -185,22 +185,23 @@ def incremental_rebuild(
     # costs at most one matched edge per such update, inside the
     # Lemma 3.4 window slack.
     edge_set: set[tuple[int, int]] = set()
-    # Loop invariants hoisted out of the per-edge loops.  ``live`` is the
+    # Loop invariants hoisted out of the per-vertex loop.  ``live`` is the
     # graph's live position map (not a copy), so ``v in live[u]`` sees
     # every deletion that raced the rebuild, exactly like has_edge.
-    add_edge = edge_set.add
-    sample = graph.sample_neighbors
+    add_edges = edge_set.update
+    sample = graph.sample_edges
     live = graph.position_index
     for v in graph.non_isolated_vertices():
         # The Delta-sample must materialize its pick list (fresh
         # randomness per vertex); one segmented draw for the whole
-        # stage was measured slower (docs/PERFORMANCE.md).
+        # stage was measured slower (docs/PERFORMANCE.md).  The picks
+        # come back as the graph's canonical edge tuples, so the set
+        # sees the same keys in the same order as a per-edge add would.
         marks = sample(v, delta, rng)
         ops += max(1, len(marks))
         if meter is not None:
             meter.count("vertex-scan", "incremental_rebuild.sample")
-        for u in marks:
-            add_edge((v, u) if v < u else (u, v))
+        add_edges(marks)
         if ops >= chunk:
             ops = 0
             yield 1
@@ -209,17 +210,25 @@ def incremental_rebuild(
     # Iterating the tuple-keyed set gives each vertex a pseudo-random
     # adjacency order (hash order).  Keep it: sorted lists (int-coded
     # keys, a sorted CSR) were measured to multiply greedy's counted
-    # work (docs/PERFORMANCE.md).
+    # work (docs/PERFORMANCE.md).  One op per edge: the edges are taken
+    # in slices that end exactly where a per-edge count reaches
+    # ``chunk``, and each slice is filtered against the live graph in
+    # the chunk that charges it.
     adj: list[list[int]] = [[] for _ in range(n)]
     if meter is not None:
         meter.count("allocation", "incremental_rebuild.build_adj")
-    for u, v in edge_set:
-        ops += 1
+    sampled = list(edge_set)
+    start, total = 0, len(sampled)
+    while start < total:
+        take = min(chunk - ops, total - start)
         if meter is not None:
-            meter.count("edge-touch", "incremental_rebuild.build_adj")
-        if v in live[u]:
-            adj[u].append(v)
-            adj[v].append(u)
+            meter.count("edge-touch", "incremental_rebuild.build_adj", take)
+        for u, v in sampled[start:start + take]:
+            if v in live[u]:
+                adj[u].append(v)
+                adj[v].append(u)
+        start += take
+        ops += take
         if ops >= chunk:
             ops = 0
             yield 1
@@ -263,9 +272,8 @@ def incremental_rebuild(
                 meter.count("vertex-scan", "incremental_rebuild.augment")
             if mate[root] != -1 or not adj[root]:
                 continue
-            # Each search allocates one BFS deque; scratch lists are
-            # already hoisted (parent/base/in_tree/in_blossom above) —
-            # the deque joins them in the vectorization rewrite.
+            # Each search allocates one BFS deque; the scratch lists
+            # are hoisted (parent/base/in_tree/in_blossom above).
             end, cost = _augmentation_search(
                 adj, mate, root, parent, base, in_tree, in_blossom,
                 ops_cap=ops_cap,

@@ -71,18 +71,25 @@ class ObliviousDynamicMatching(WindowedRebuild):
 
     def _rebuild_generator(self):
         """Greedy matching over the *maintained* sparsifier edge set,
-        chunked by edges scanned."""
-        mate = np.full(self._mate.size, -1, dtype=np.int64)
+        chunked by edges scanned.
+
+        The edges are snapshotted in lexicographic order before the
+        first yield, as one O(|E_Δ| log |E_Δ|) step that no work-meter
+        site counts.  ``live`` is the graph's live position map, so the
+        scan sees every deletion that races the rebuild.
+        """
+        mate = [-1] * self._mate.size
+        live = self.graph.position_index
+        flat = iter(self.sparsifier.edge_array().ravel().tolist())
         scanned = 0
-        for u, v in sorted(self.sparsifier.edges()):
+        for u, v in zip(flat, flat):
             scanned += 1
-            if (mate[u] == -1 and mate[v] == -1
-                    and self.graph.has_edge(u, v)):
+            if mate[u] == -1 and mate[v] == -1 and v in live[u]:
                 mate[u], mate[v] = v, u
             if scanned % DEFAULT_CHUNK == 0:
                 yield 1
         yield 1
-        return mate
+        return np.asarray(mate, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     def update(self, op: str, u: int, v: int) -> None:

@@ -36,12 +36,12 @@ def degeneracy(graph: AdjacencyArrayGraph) -> tuple[int, np.ndarray]:
     n = graph.num_vertices
     if n == 0:
         return 0, np.empty(0, dtype=np.int64)
-    deg = np.diff(graph.indptr).astype(np.int64)
-    max_deg = int(deg.max(initial=0))
+    deg = np.diff(graph.indptr).tolist()
+    max_deg = max(deg)
     buckets: list[list[int]] = [[] for _ in range(max_deg + 1)]
     for v in range(n):
         buckets[deg[v]].append(v)
-    removed = np.zeros(n, dtype=bool)
+    removed = [False] * n
     order = np.empty(n, dtype=np.int64)
     d = 0
     cursor = 0
@@ -58,8 +58,7 @@ def degeneracy(graph: AdjacencyArrayGraph) -> tuple[int, np.ndarray]:
         removed[v] = True
         order[step] = v
         d = max(d, cursor)
-        for u in graph.neighbors_array(v):
-            u = int(u)
+        for u in graph.neighbors_array(v).tolist():
             if not removed[u]:
                 deg[u] -= 1
                 buckets[deg[u]].append(u)

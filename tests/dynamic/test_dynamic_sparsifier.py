@@ -76,6 +76,18 @@ class TestDynamicSparsifier:
         sp = ds.sparsifier()
         assert sp.num_edges == 2
 
+    def test_edge_array_is_the_sorted_edge_set(self):
+        assert DynamicSparsifier(3, delta=1, seed=0).edge_array().shape == (0, 2)
+        host = clique_union(3, 9)
+        ds = DynamicSparsifier(host.num_vertices, delta=3, seed=9)
+        adv = ObliviousAdversary(list(host.edges()), 0.3, seed=10)
+        for upd in adv.stream(250):
+            ds.update(upd.op, upd.u, upd.v)
+        edges = ds.edge_array()
+        assert edges.dtype == "int64"
+        assert [tuple(e) for e in edges.tolist()] == sorted(ds.edges())
+        assert sorted(ds.sparsifier().edges()) == sorted(ds.edges())
+
     def test_invalid_delta(self):
         with pytest.raises(ValueError):
             DynamicSparsifier(4, delta=0)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dynamic.graph import DynamicGraph
+from repro.instrument import workmeter
 from repro.instrument.rng import sanitize_rng
 
 
@@ -163,6 +164,55 @@ class TestSamplerLaw:
         assert rng.draws == 1
 
 
+def _assert_edge_rows_aligned(g: DynamicGraph) -> None:
+    """``_edges[v][i]`` is the canonical tuple of {v, ``_adj[v][i]``},
+    one object shared by both endpoints' rows."""
+    pos = g.position_index
+    for v, (nbrs, edges) in enumerate(zip(g._adj, g._edges)):
+        assert edges == [(min(v, u), max(v, u)) for u in nbrs]
+        for i, u in enumerate(nbrs):
+            assert edges[i] is g._edges[u][pos[u][v]]
+
+
+def _assert_projections_agree(g: DynamicGraph, v: int, k: int,
+                              seed: int) -> None:
+    """Both sampler projections draw the same picks and count the same
+    work from equal generators."""
+    with workmeter.audit() as nbr_meter:
+        nbrs = g.sample_neighbors(v, k, np.random.default_rng(seed))
+    with workmeter.audit() as edge_meter:
+        edges = g.sample_edges(v, k, np.random.default_rng(seed))
+    assert edges == [(min(v, u), max(v, u)) for u in nbrs]
+    assert edge_meter.sites == nbr_meter.sites
+
+
+@pytest.mark.fast
+class TestSamplerProjections:
+    """``sample_edges`` is ``sample_neighbors`` read out as edge tuples."""
+
+    #: (deg, k): deg <= k (no draw), the random-key path, and the O(k)
+    #: ``choice`` path above deg = 50·k.
+    CASES = [(5, 5), (5, 48), (63, 48), (20, 3), (200, 3)]
+
+    @pytest.mark.parametrize("deg,k", CASES)
+    def test_same_picks_and_counted_work(self, deg, k):
+        g = _star(deg)
+        for seed in range(5):
+            _assert_projections_agree(g, 0, k, seed)
+            _assert_projections_agree(g, deg, k, seed)
+
+    def test_rows_stay_aligned_through_swap_deletes(self):
+        g = _star(6)
+        g.insert(1, 2)
+        g.delete(0, 3)
+        g.delete(0, 1)
+        _assert_edge_rows_aligned(g)
+        # Two swap-with-last deletes: [1..6] -> [1, 2, 6, 4, 5] -> [5, 2, 6, 4].
+        assert g.sample_edges(0, 10, np.random.default_rng(0)) == [
+            (0, 5), (0, 2), (0, 6), (0, 4)
+        ]
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=10),
@@ -186,12 +236,17 @@ def test_matches_networkx_reference(n, ops):
             ref.add_edge(u, v)
             ours.insert(u, v)
         assert ours.num_edges == ref.number_of_edges()
+        _assert_edge_rows_aligned(ours)
     assert sorted(ours.edges()) == sorted(
         (min(u, v), max(u, v)) for u, v in ref.edges()
     )
     for v in range(n):
         assert ours.degree(v) == ref.degree(v)
         assert sorted(ours.neighbors(v)) == sorted(ref.neighbors(v))
+        # k = 1 and 2 take the random-key path once deg > k; k = deg
+        # returns the whole row without a draw.
+        for k in {1, 2, max(1, ours.degree(v))}:
+            _assert_projections_agree(ours, v, k, seed=v)
     assert set(ours.non_isolated_vertices()) == {
         v for v in range(n) if ref.degree(v) > 0
     }

@@ -152,4 +152,4 @@ def test_perf_gate_over_src_suppresses_exactly_the_baseline(
     captured = capsys.readouterr()
     assert code == 0
     assert "clean: no violations" in captured.out
-    assert "baseline suppressed 3 known findings" in captured.err
+    assert "baseline suppressed 2 known findings" in captured.err
