@@ -11,10 +11,10 @@ The legacy mode is simulated faithfully: a *fresh* ``RuleContext`` per
 (file, rule) pair, so no rule shares the node index with another —
 exactly one full tree walk per rule per file, which is what the old
 per-rule ``ast.walk`` calls cost.  Only the syntactic rules R1-R5 are
-compared (the flow rules R6-R9, the async-concurrency rules R10-R14,
-and the performance rule R15 postdate the shared index and never had a
-per-rule-walk form); the full fifteen-rule runtime plus the async-only
-and perf-only runtimes are reported alongside for context.
+compared (the flow rules R6-R9 and the async-concurrency rules R10-R14
+postdate the shared index and never had a per-rule-walk form); the
+full fourteen-rule runtime and the async-only runtime are reported
+alongside for context.
 Every timing is the best of ``--repeats`` runs.
 
 Usage::
@@ -36,16 +36,12 @@ from repro.lint.runner import discover_files, lint_paths
 from repro.lint.rules import RULES, RuleContext
 from repro.lint.violations import collect_pragmas, is_suppressed
 
-#: The rules that exist in both modes (whole-program rules — the flow,
-#: async and perf families — have no per-rule-walk form to compare
-#: against).
+#: The rules that exist in both modes (whole-program rules — the flow
+#: and async families — have no per-rule-walk form to compare against).
 _SYNTACTIC = [rule for rule in RULES.values() if rule.family == "syntactic"]
 
 #: The async-concurrency rules, timed as their own workload.
 _ASYNC = [rule for rule in RULES.values() if rule.family == "async"]
-
-#: The performance rule (R15), timed as its own workload.
-_PERF = [rule for rule in RULES.values() if rule.family == "perf"]
 
 
 def _timed(fn, *args, **kwargs):
@@ -97,14 +93,12 @@ def bench_lint(target: str, repeats: int) -> dict:
         legacy_times.append(t_legacy)
         shared_times.append(t_shared)
 
-    full_times, async_times, perf_times = [], [], []
+    full_times, async_times = [], []
     for _ in range(repeats):
         _, t_full = _timed(lint_paths, [target])
         full_times.append(t_full)
         _, t_async = _timed(lint_paths, [target], _ASYNC)
         async_times.append(t_async)
-        _, t_perf = _timed(lint_paths, [target], _PERF)
-        perf_times.append(t_perf)
     async_defs = sum(
         sum(isinstance(node, ast.AsyncFunctionDef) for node in ast.walk(tree))
         for tree, _text in sources.values()
@@ -118,12 +112,10 @@ def bench_lint(target: str, repeats: int) -> dict:
         "shared_index_seconds": round(best_shared, 4),
         "speedup": round(best_legacy / best_shared, 3),
         "identical_findings": True,
-        "full_r1_r15_seconds": round(min(full_times), 4),
+        "full_r1_r14_seconds": round(min(full_times), 4),
         "async_rules": [rule.code for rule in _ASYNC],
         "async_defs": int(async_defs),
         "async_r10_r14_seconds": round(min(async_times), 4),
-        "perf_rules": [rule.code for rule in _PERF],
-        "perf_r15_seconds": round(min(perf_times), 4),
     }
 
 

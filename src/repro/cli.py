@@ -8,7 +8,7 @@ Usage::
     repro-experiments --list          # enumerate experiment ids
     repro-experiments --version       # installed package version
     repro-experiments lint src tests  # determinism/invariant linter
-    repro-experiments lint --select R15 src  # perf rule
+    repro-experiments lint --select R6,R7,R8,R9 src  # RNG-flow rules
     repro-experiments serve --port 8765 --journal-dir journals
     repro-experiments serve --port 8765 --shards 4 --journal-dir journals
     repro-experiments replay journals/mysession.jsonl --json

@@ -136,7 +136,9 @@ class ShardLink:
                 future = self._pending.get_nowait()
                 if not future.done():
                     future.set_result(line)
-        except (ConnectionResetError, asyncio.QueueEmpty):
+        except (ConnectionResetError, ValueError, asyncio.QueueEmpty):
+            # ValueError: a line past the stream limit (64 KiB) leaves
+            # the stream desynchronised, so the link dies as on a reset.
             pass
         finally:
             self._dead = True

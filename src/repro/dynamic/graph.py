@@ -34,8 +34,7 @@ class DynamicGraph:
     verification and exact-matching oracles in experiments.
     """
 
-    __slots__ = ("_adj", "_edges", "_pos", "_num_edges", "_non_isolated",
-                 "version")
+    __slots__ = ("_adj", "_edges", "_pos", "_num_edges", "_non_isolated")
 
     def __init__(self, num_vertices: int) -> None:
         if num_vertices < 0:
@@ -48,9 +47,6 @@ class DynamicGraph:
         self._pos: list[dict[int, int]] = [{} for _ in range(num_vertices)]
         self._num_edges = 0
         self._non_isolated: set[int] = set()
-        #: Monotone mutation counter; consumers (e.g. in-flight rebuilds)
-        #: use it to detect concurrent changes.
-        self.version = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -72,10 +68,6 @@ class DynamicGraph:
     def neighbors(self, v: int) -> list[int]:
         """A copy of v's current neighbor list."""
         return list(self._adj[v])
-
-    def neighbor_at(self, v: int, i: int) -> int:
-        """The i-th neighbor in the internal (mutation-dependent) order."""
-        return self._adj[v][i]
 
     @property
     def position_index(self) -> list[dict[int, int]]:
@@ -165,7 +157,6 @@ class DynamicGraph:
         self._non_isolated.add(u)
         self._non_isolated.add(v)
         self._num_edges += 1
-        self.version += 1
         meter = workmeter.active()
         if meter is not None:
             meter.count("edge-touch", "DynamicGraph.insert")
@@ -194,7 +185,6 @@ class DynamicGraph:
             if not self._adj[w]:
                 self._non_isolated.discard(w)
         self._num_edges -= 1
-        self.version += 1
         meter = workmeter.active()
         if meter is not None:
             meter.count("edge-touch", "DynamicGraph.delete")

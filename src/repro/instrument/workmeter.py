@@ -1,13 +1,11 @@
 """Deterministic per-call-site work counting (``REPRO_WORK_AUDIT=1``).
 
-The repo's one measure of where update work goes: the static rule R15
-(:mod:`repro.lint.perf_flow`) only points at scalar loops that could be
-vectorized, while this meter counts the work each update actually
-does, per call site, and is what the Theorem 3.5 cap check reads.  The
-hot methods of the dynamic sparsifier and the matcher backends carry
-cheap counting seams that are no-ops until a meter is installed; with
-one active, every update accumulates operation counts in four
-categories —
+The repo's one measure of where update work goes: this meter counts
+the work each update actually does, per call site, and is what the
+Theorem 3.5 cap check reads.  The hot methods of the dynamic
+sparsifier and the matcher backends carry cheap counting seams that
+are no-ops until a meter is installed; with one active, every update
+accumulates operation counts in four categories —
 
 ``edge-touch``
     an adjacency entry read, written, or probed;
@@ -20,7 +18,7 @@ categories —
     a fresh container/array constructed inside the update.
 
 — keyed by call site (``"DynamicSparsifier._remark"``), so the report
-ranks exactly the loops the vectorization ROADMAP item needs to target.
+ranks exactly the loops a rebuild optimisation needs to target.
 
 Counting is deterministic and observation-free: the meter never draws
 randomness, never reads a clock, and never changes control flow, so a

@@ -1,4 +1,4 @@
-"""Determinism & invariant linter for the reproduction (rules R1-R15).
+"""Determinism & invariant linter for the reproduction (rules R1-R14).
 
 The paper's guarantees are only reproducible if every random bit flows
 through the package's ``seed=``/``rng=`` convention and every engine
@@ -16,17 +16,14 @@ mechanically with a stdlib-``ast`` static analysis:
     crossing, R9 draw-order hazard (:mod:`repro.lint.flow`);
   - ``async``: R10 interleaving hazard, R11 blocking call in the event
     loop, R12 lost task, R13 lock/queue discipline, R14 cross-task
-    aliasing (:mod:`repro.lint.async_flow`);
-  - ``perf``: R15 scalar loop over array substrate
-    (:mod:`repro.lint.perf_flow`).
+    aliasing (:mod:`repro.lint.async_flow`).
 
   The whole-program families run over one
   :class:`~repro.lint.callgraph.Program` per lint run;
 * :func:`~repro.lint.runner.lint_paths` / ``lint_file`` /
   ``lint_source`` — the library entry points;
 * ``repro-experiments lint`` — the CLI (see :mod:`repro.lint.cli`).
-  It runs R1-R14 by default; the perf rule R15 runs when ``--select``
-  names it.
+  It runs every rule unless ``--select`` names a subset.
 
 Suppress a finding per line with ``# repro-lint: ignore[R4]`` (or bare
 ``ignore`` for all rules), or a whole file with

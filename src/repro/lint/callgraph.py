@@ -5,9 +5,7 @@ The single-file rules R1-R5 see one parsed module at a time; the flow
 rules R6-R9 (:mod:`repro.lint.flow`) and the async rules R10-R14
 (:mod:`repro.lint.async_flow`) need to answer *cross-module* questions —
 "does this imported helper return a live ``Generator``?", "does this
-helper block the event loop?".  The performance rule R15
-(:mod:`repro.lint.perf_flow`) is per-module but runs through the same
-pass harness.  This module builds that context:
+helper block the event loop?".  This module builds that context:
 
 * :class:`ModuleInfo` — one parsed module plus its import map and the
   function/class definitions it hosts;
@@ -196,7 +194,7 @@ class Program:
         / a list of generators — the base knowledge plus everything the
         fixpoint in :func:`compute_summaries` discovered in user code.
         The fixpoint runs on the first read, so a selection without a
-        flow rule (the perf or async families alone) never pays for it.
+        flow rule (the syntactic or async rules alone) never pays for it.
     """
 
     def __init__(self, modules: Iterable[ModuleInfo]) -> None:

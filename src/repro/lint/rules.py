@@ -1,4 +1,4 @@
-"""The rule catalogue: fifteen checks behind one registry.
+"""The rule catalogue: fourteen checks behind one registry.
 
 Each rule is a pure function from a parsed module to a list of
 :class:`~repro.lint.violations.Violation`.  The registry drives the
@@ -40,11 +40,6 @@ R6-R9, family ``flow``
     generator escape, process-boundary crossing, draw-order hazard).
 R10-R14, family ``async``
     The async-concurrency pass of :mod:`repro.lint.async_flow`.
-R15, family ``perf``
-    The performance pass of :mod:`repro.lint.perf_flow`: scalar loops
-    over the array substrate.  It is opt-in — ``lint`` runs it only
-    when ``--select`` names it, so the repo-wide determinism gate stays
-    focused on correctness.
 
 See each pass's docstring for the semantics and ``docs/LINTING.md`` for
 worked examples.
@@ -63,7 +58,7 @@ from functools import cached_property
 from pathlib import PurePath
 from typing import Callable
 
-from repro.lint import async_flow, flow, perf_flow
+from repro.lint import async_flow, flow
 from repro.lint.callgraph import (
     Program,
     _dotted,
@@ -174,9 +169,7 @@ class Rule:
         The implementation: ``RuleContext -> list[Violation]``.
     family:
         ``"syntactic"`` (R1-R5), or the whole-program pass the rule
-        belongs to: ``"flow"`` (R6-R9), ``"async"`` (R10-R14) or
-        ``"perf"`` (R15).  The perf family is excluded from the
-        default ``lint`` run.
+        belongs to: ``"flow"`` (R6-R9) or ``"async"`` (R10-R14).
     """
 
     code: str
@@ -450,7 +443,6 @@ def _check_r5(ctx: RuleContext) -> list[Violation]:
 _PASSES = {
     "flow": flow.analyze_module,
     "async": async_flow.analyze_module,
-    "perf": perf_flow.analyze_module,
 }
 
 
@@ -517,8 +509,4 @@ RULES: dict[str, Rule] = {
                       "no mutable object escaping into two "
                       "concurrently-live tasks; queues and locks are the "
                       "sanctioned channels"),
-    "R15": _pass_rule("R15", "perf", "scalar-loop-over-array-substrate",
-                      "no scalar python for-loop over graph substrate or "
-                      "numpy arrays doing per-element array work; vectorize "
-                      "over the flat adjacency arrays"),
 }

@@ -21,8 +21,9 @@ directories.  A path given *explicitly* is always linted, so tests can
 point at fixture files directly.
 
 All files linted together form one
-:class:`~repro.lint.callgraph.Program`, which is what lets the flow
-rules R6-R9 resolve imports and generator summaries across modules.
+:class:`~repro.lint.callgraph.Program`, which is what lets the
+whole-program rules (RNG flow R6-R9, async R10-R14) resolve imports,
+generator summaries and helper calls across modules.
 """
 
 from __future__ import annotations

@@ -2,16 +2,21 @@
 
 These spawn real shard worker processes (no ``fast`` marker); the
 happy-path tests share one module-scoped cluster to amortize startup.
+The over-limit reply test runs the router against in-loop fake shards
+and is ``fast``.
 """
 
+import asyncio
+import json
 import signal
 
 import pytest
 
 from repro.cluster.hashing import place
+from repro.cluster.router import ClusterRouter
 from repro.cluster.runner import BackgroundCluster
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.protocol import PROTOCOL
+from repro.service.protocol import PROTOCOL, encode, ok_response
 from repro.service.server import BackgroundServer
 
 SHARDS = 2
@@ -164,3 +169,73 @@ class TestShardFailure:
             with ServiceClient(cl.host, cl.port) as cli2:
                 for name in on_one:
                     assert cli2.query_matching(name)["size"] == 0
+
+
+class _FakeShard:
+    """An in-loop stand-in for a shard worker.
+
+    Answers every request line with ``reply``; ``hung_up`` is set once
+    the router closes its end of the connection.
+    """
+
+    def __init__(self, reply: bytes) -> None:
+        self.reply = reply
+        self.hung_up = asyncio.Event()
+
+    async def handle(self, reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter) -> None:
+        try:
+            while await reader.readline():
+                writer.write(self.reply)
+                await writer.drain()
+        except ConnectionError:
+            pass
+        self.hung_up.set()
+        writer.close()
+
+
+@pytest.mark.fast
+class TestOverLimitReply:
+    """A shard reply past asyncio's 64 KiB line limit kills only its link."""
+
+    def test_router_survives_and_shuts_down_cleanly(self):
+        async def scenario():
+            fakes = [
+                _FakeShard(encode(ok_response(sessions=[],
+                                              pad="x" * 70_000))),
+                _FakeShard(encode(ok_response(sessions=[]))),
+            ]
+            shard_servers = [
+                await asyncio.start_server(fake.handle, "127.0.0.1", 0)
+                for fake in fakes
+            ]
+            router = ClusterRouter([
+                server.sockets[0].getsockname()[:2]
+                for server in shard_servers
+            ])
+            bound: asyncio.Future = (
+                asyncio.get_running_loop().create_future()
+            )
+            serving = asyncio.get_running_loop().create_task(
+                router.serve_forever(
+                    on_ready=lambda host, port: bound.set_result((host, port))
+                )
+            )
+            reader, writer = await asyncio.open_connection(*await bound)
+            writer.write(encode({"op": "cluster_stats"}))
+            stats = json.loads(await reader.readline())
+            writer.close()
+            await writer.wait_closed()
+            router.request_shutdown()
+            await serving  # must not re-raise the link's readline error
+            await asyncio.gather(*(fake.hung_up.wait() for fake in fakes))
+            for server in shard_servers:
+                server.close()
+                await server.wait_closed()
+            return stats, [link.alive for link in router.links]
+
+        stats, alive = asyncio.run(asyncio.wait_for(scenario(), 30))
+        assert stats["ok"] is True
+        assert stats["unreachable"] == [0]
+        assert stats["shards"] == 2
+        assert alive == [False, False]

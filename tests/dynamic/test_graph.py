@@ -84,13 +84,6 @@ class TestBasics:
         assert sorted(snap.edges()) == [(0, 1), (2, 3)]
         assert snap.num_vertices == 4
 
-    def test_version_monotone(self):
-        g = DynamicGraph(3)
-        v0 = g.version
-        g.insert(0, 1)
-        g.delete(0, 1)
-        assert g.version == v0 + 2
-
     def test_negative_vertices(self):
         with pytest.raises(ValueError):
             DynamicGraph(-1)

@@ -152,8 +152,20 @@ class TestCli:
         assert lint_main(["--select", "R2", str(bad)]) == 0
         assert lint_main(["--select", "R1", str(bad)]) == 1
 
-    def test_unknown_rule_code_is_usage_error(self, tmp_path):
-        assert lint_main(["--select", "R99", str(tmp_path)]) == 2
+    def test_unknown_rule_code_is_usage_error(self, tmp_path, capsys):
+        # R15, the retired scalar-loop rule, is as unknown as a typo.
+        for code in ("R99", "R15"):
+            assert lint_main(["--select", code, str(tmp_path)]) == 2
+            assert "unknown rule codes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--baseline", "--write-baseline"])
+    def test_retired_baseline_options_are_usage_errors(
+        self, option, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            lint_main([option, str(tmp_path / "x.json"), str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_repeated_code_reports_each_finding_once(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
@@ -186,16 +198,38 @@ class TestCli:
 
 
 @pytest.mark.fast
+class TestDedupOverlappingTargets:
+    """Overlapping path arguments do not double-report."""
+
+    def test_nested_directory_overlap_reports_once(self, tmp_path, capsys):
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "bad.py").write_text(VIOLATING)
+        assert lint_main(["--format", "json", str(tmp_path), str(pkg)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["count"] == 1
+
+    def test_relative_and_absolute_spellings_dedupe(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        bad = tmp_path / "bad.py"
+        bad.write_text(VIOLATING)
+        monkeypatch.chdir(tmp_path)
+        assert lint_main(["--format", "json", "bad.py", str(bad)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["count"] == 1
+
+    def test_discover_files_keeps_first_spelling(self, tmp_path):
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        found = discover_files([tmp_path, tmp_path])
+        assert len(found) == 1
+
+
+@pytest.mark.fast
 def test_repository_tree_is_clean():
     """The enforced gate: src and tests lint clean (fixtures excepted).
 
-    Mirrors the default ``lint`` CLI: the correctness rules R1-R14.
-    The perf rule R15 is an opt-in advisory gated separately — over
-    the hot trees it must be clean
-    (``tests/lint/test_perf_flow.py``), while known findings elsewhere
-    ratchet down via ``results/perf_baseline.json``
-    (``tests/lint/test_findings_oracle.py``).
+    Mirrors the default ``lint`` CLI: every rule.
     """
     repo_root = Path(__file__).resolve().parents[2]
-    rules = [rule for rule in RULES.values() if rule.family != "perf"]
-    assert lint_paths([repo_root / "src", repo_root / "tests"], rules) == []
+    assert lint_paths([repo_root / "src", repo_root / "tests"]) == []

@@ -5,8 +5,13 @@ Unit tests cover the meter's counting/reporting machinery and the
 session under audit and assert the two properties the subsystem
 promises: every update's counted work respects the cap, and the audit
 is *observation-free* — a session's replay fingerprint is byte-identical
-with the meter on or off.
+with the meter on or off.  ``benchmarks/hotspots.py``, the ranked
+report built on the meter, is driven end to end at the bottom.
 """
+
+import importlib.util
+import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +22,8 @@ from repro.instrument.rng import resolve_rng
 from repro.service.session import Session
 
 pytestmark = pytest.mark.fast
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -206,3 +213,37 @@ class TestSessionIntegration:
             return session.fingerprint()
 
         assert fingerprint(audited=True) == fingerprint(audited=False)
+
+
+def _hotspots_script():
+    """Import ``benchmarks/hotspots.py`` (a script, not a package)."""
+    spec = importlib.util.spec_from_file_location(
+        "hotspots", REPO / "benchmarks" / "hotspots.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestHotspotReport:
+    def test_report_writes_ranked_hotspots(self, tmp_path, capsys):
+        report = tmp_path / "hotspots.json"
+        assert _hotspots_script().main([str(report)]) == 0
+        assert "hotspot report" in capsys.readouterr().out
+        payload = json.loads(report.read_text())
+        assert payload["format"] == "repro-hotspots-v1"
+        assert payload["updates"] == 400
+        assert payload["total_ops"] > 0
+        assert payload["per_update"]["max_ops"] > 0
+        assert payload["per_update"]["max_observed_constant"] < 4.0
+        sites = {row["site"] for row in payload["hotspots"]}
+        assert any(site.startswith("incremental_rebuild.")
+                   for site in sites)
+        assert any(site.startswith("DynamicGraph.") for site in sites)
+        counts = [row["count"] for row in payload["hotspots"]]
+        assert counts == sorted(counts, reverse=True)
+        assert all(row["count"] > 0 for row in payload["hotspots"])
+
+    def test_report_is_deterministic(self):
+        script = _hotspots_script()
+        assert script.hotspot_report() == script.hotspot_report()
