@@ -4,15 +4,15 @@ Counters are monotone event totals, so summing them across shards is
 lossless (the same argument as the engine's cross-process counter
 merge).  Latency percentiles are **not** summable — averaging per-shard
 p99s under-reports any skewed tail — so shards export their raw sample
-lists *sorted ascending* (``shard_stats``) and this module k-way merges
-the sorted lists (:func:`merge_sorted_samples`) before taking
-nearest-rank percentiles over the union, which is exactly the number a
-single server holding every sample would report.
+lists *sorted ascending* (``shard_stats``) and this module merges the
+sorted lists (:func:`merge_sorted_samples`) before taking nearest-rank
+percentiles over the union, which is exactly the number a single server
+holding every sample would report.
 """
 
 from __future__ import annotations
 
-from heapq import merge as _heapq_merge
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from repro.service.metrics import percentile_sorted
@@ -36,12 +36,13 @@ def merge_sorted_samples(
 ) -> list[float]:
     """Union per-shard *sorted* sample lists into one sorted list.
 
-    A k-way heap merge (O(N log k)) — cheaper than re-sorting the
-    concatenation and, more importantly, the statement of intent: the
-    cluster percentile is taken over the union of samples, never over
-    per-shard percentiles.
+    The statement of intent: the cluster percentile is taken over the
+    union of samples, never over per-shard percentiles.  The merge is
+    one concatenation and one sort: timsort finds each shard's sorted
+    run and merges the k runs in C, which on CPython is several times
+    faster than a Python-level ``heapq.merge``.
     """
-    return list(_heapq_merge(*per_shard))
+    return sorted(chain.from_iterable(per_shard))
 
 
 def merge_latency(
@@ -57,7 +58,7 @@ def merge_latency(
     samples anywhere (an idle or empty cluster) the percentiles are 0.
     """
     merged = merge_sorted_samples(
-        [list(shard.get("samples_sorted_ms", ())) for shard in per_shard]
+        [shard.get("samples_sorted_ms", ()) for shard in per_shard]
     )
     budgets = [float(shard["budget_ms"])
                for shard in per_shard if "budget_ms" in shard]

@@ -56,13 +56,23 @@ def percentile_sorted(ordered: list[float], q: float) -> float:
 class LatencyRecorder:
     """Collects per-update latency samples against a budget.
 
+    Every read (:meth:`sorted_ms`, :meth:`snapshot`, the server's
+    ``shard_stats``) reports samples to 1e-4 ms, so each sample is
+    rounded once, when it is recorded, rather than on every read.
+    Rounding is monotone and a nearest-rank percentile picks a sample,
+    so ``round(p(raw), 4) == p(rounded)``: the reported numbers are the
+    ones the raw samples would give.  The budget check compares the
+    *raw* sample, so rounding never hides a budget miss.
+
     Attributes
     ----------
     budget_ms:
         The configured per-update latency budget in milliseconds.
     samples_ms:
-        All recorded samples (milliseconds).  Bounded workloads only;
-        the service records one sample per applied update.
+        All recorded samples (milliseconds, rounded to 1e-4 ms).
+        Bounded workloads only; the service records one sample per
+        applied update.  Their order is not part of the contract: reads
+        sort the list in place.
     over_budget:
         How many samples exceeded ``budget_ms``.
     """
@@ -74,13 +84,23 @@ class LatencyRecorder:
     def record(self, seconds: float) -> None:
         """Record one latency sample given in seconds."""
         ms = seconds * 1000.0
-        self.samples_ms.append(ms)
+        self.samples_ms.append(round(ms, 4))
         if ms > self.budget_ms:
             self.over_budget += 1
 
+    def sorted_ms(self) -> list[float]:
+        """The samples in ascending order (the live list; do not mutate).
+
+        Sorts ``samples_ms`` in place: the prefix sorted by the previous
+        read is one run to timsort, so a read costs O(n) plus sorting
+        the samples recorded since.
+        """
+        self.samples_ms.sort()
+        return self.samples_ms
+
     def snapshot(self) -> dict:
         """Percentile summary: count, p50/p95/p99/max ms, budget, misses."""
-        ordered = sorted(self.samples_ms)
+        ordered = self.sorted_ms()
         if not ordered:
             p50 = p95 = p99 = peak = 0.0
         else:
@@ -90,10 +110,10 @@ class LatencyRecorder:
             peak = ordered[-1]
         return {
             "count": len(ordered),
-            "p50_ms": round(p50, 4),
-            "p95_ms": round(p95, 4),
-            "p99_ms": round(p99, 4),
-            "max_ms": round(peak, 4),
+            "p50_ms": p50,
+            "p95_ms": p95,
+            "p99_ms": p99,
+            "max_ms": peak,
             "budget_ms": self.budget_ms,
             "over_budget": self.over_budget,
         }

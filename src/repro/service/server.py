@@ -338,7 +338,11 @@ class MatchingService:
         monotone event counts); latency samples are exported as one
         sorted list so a cluster aggregator can union them and take
         percentiles over the union — merging sorted per-shard lists is
-        exact, averaging per-shard percentiles is not.
+        exact, averaging per-shard percentiles is not.  Samples are
+        rounded to 1e-4 ms when recorded and each session's list comes
+        back sorted
+        (:meth:`~repro.service.metrics.LatencyRecorder.sorted_ms`), so
+        the one sort here merges k sorted runs in C.
         """
         counters: dict[str, int] = {}
         samples: list[float] = []
@@ -349,7 +353,7 @@ class MatchingService:
             session = self.sessions[name]
             for counter, value in session.metrics.counters.snapshot().items():
                 counters[counter] = counters.get(counter, 0) + value
-            samples.extend(session.metrics.latency.samples_ms)
+            samples.extend(session.metrics.latency.sorted_ms())
             over_budget += session.metrics.latency.over_budget
             queue_depth += session.metrics.queue_depth
             max_queue_depth = max(max_queue_depth, session.metrics.max_queue_depth)
@@ -358,7 +362,7 @@ class MatchingService:
             "sessions": sorted(self.sessions),
             "counters": counters,
             "latency": {
-                "samples_sorted_ms": [round(s, 4) for s in samples],
+                "samples_sorted_ms": samples,
                 "over_budget": over_budget,
                 "budget_ms": self.budget_ms,
             },

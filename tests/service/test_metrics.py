@@ -118,6 +118,24 @@ class TestLatencyRecorder:
         recorder.record(0.0030)
         assert recorder.over_budget == 2
 
+    def test_budget_miss_smaller_than_the_rounding_still_counts(self):
+        # 50.00004 ms is stored as 50.0, but the budget check reads the
+        # raw sample: rounding at record time never hides a miss.
+        recorder = LatencyRecorder(budget_ms=50.0)
+        recorder.record(0.05000004)
+        assert recorder.samples_ms == [50.0]
+        assert recorder.over_budget == 1
+        assert recorder.snapshot()["max_ms"] == 50.0
+
+    def test_samples_stored_rounded_and_sorted_in_place_on_read(self):
+        recorder = LatencyRecorder()
+        for seconds in (0.003, 0.00123456, 0.002):
+            recorder.record(seconds)
+        assert recorder.samples_ms == [3.0, 1.2346, 2.0]
+        ordered = recorder.sorted_ms()
+        assert ordered is recorder.samples_ms
+        assert ordered == [1.2346, 2.0, 3.0]
+
     def test_snapshot_shape(self):
         recorder = LatencyRecorder()
         recorder.record(0.001)
