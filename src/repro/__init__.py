@@ -26,101 +26,63 @@ The facade (:mod:`repro.api`) fronts the per-model subpackages; the
 model-specific entry points below remain available for full control.
 """
 
-from repro._version import package_version
-from repro.api import ApproxMatchingResult, Pipeline, approx_mcm, sparsify
-from repro.contracts import (
-    ContractViolation,
-    check_matching,
-    check_sparsifier_degree,
-    check_subgraph,
-    contracts_enabled,
-)
+from repro._lazy import attach
 
-from repro.core import (
-    DeltaPolicy,
-    RandomSparsifier,
-    SparsifierResult,
-    build_sparsifier,
-    composed_sparsifier,
-    delta_paper,
-    delta_practical,
-    solomon_sparsifier,
-    sparsifier_quality,
-)
-from repro.graphs import (
-    AdjacencyArrayGraph,
-    from_edges,
-    from_networkx,
-    neighborhood_independence_exact,
-    to_networkx,
-)
-from repro.matching import (
-    Matching,
-    greedy_maximal_matching,
-    hopcroft_karp,
-    mcm_approx,
-    mcm_exact,
-)
-from repro.sequential import approximate_matching
-from repro.distributed import (
-    distributed_approx_matching,
-    distributed_baseline_matching,
-)
-from repro.dynamic import (
-    AdaptiveAdversary,
-    DynamicMaximalMatching,
-    DynamicSparsifier,
-    LazyRebuildMatching,
-    ObliviousAdversary,
-)
-from repro.streaming import (
-    EdgeStream,
-    streaming_approx_matching,
-    streaming_greedy_matching,
-)
-from repro.mpc import mpc_approx_matching
+#: Every public name and the module that defines it; a name's module is
+#: imported on first access (:mod:`repro._lazy`).
+_EXPORTS = {
+    "AdaptiveAdversary": "repro.dynamic.adversaries",
+    "AdjacencyArrayGraph": "repro.graphs.adjacency",
+    "ApproxMatchingResult": "repro.api",
+    "ContractViolation": "repro.contracts",
+    "DeltaPolicy": "repro.core.delta",
+    "DynamicMaximalMatching": "repro.dynamic.baseline",
+    "DynamicSparsifier": "repro.dynamic.dynamic_sparsifier",
+    "EdgeStream": "repro.streaming.stream",
+    "LazyRebuildMatching": "repro.dynamic.lazy_rebuild",
+    "Matching": "repro.matching.matching",
+    "ObliviousAdversary": "repro.dynamic.adversaries",
+    "Pipeline": "repro.api",
+    "RandomSparsifier": "repro.core.sparsifier",
+    "SparsifierResult": "repro.core.sparsifier",
+    "approx_mcm": "repro.api",
+    "approximate_matching": "repro.sequential.pipeline",
+    "build_sparsifier": "repro.core.sparsifier",
+    "check_matching": "repro.contracts",
+    "check_sparsifier_degree": "repro.contracts",
+    "check_subgraph": "repro.contracts",
+    "composed_sparsifier": "repro.core.compose",
+    "contracts_enabled": "repro.contracts",
+    "delta_paper": "repro.core.delta",
+    "delta_practical": "repro.core.delta",
+    "distributed_approx_matching": "repro.distributed.pipeline",
+    "distributed_baseline_matching": "repro.distributed.pipeline",
+    "from_edges": "repro.graphs.builder",
+    "from_networkx": "repro.graphs.builder",
+    "greedy_maximal_matching": "repro.matching.greedy",
+    "hopcroft_karp": "repro.matching.hopcroft_karp",
+    "mcm_approx": "repro.matching.approx",
+    "mcm_exact": "repro.matching.blossom",
+    "mpc_approx_matching": "repro.mpc.matching",
+    "neighborhood_independence_exact": "repro.graphs.neighborhood",
+    "solomon_sparsifier": "repro.core.bounded_degree",
+    "sparsifier_quality": "repro.core.properties",
+    "sparsify": "repro.api",
+    "streaming_approx_matching": "repro.streaming.matching",
+    "streaming_greedy_matching": "repro.streaming.matching",
+    "to_networkx": "repro.graphs.builder",
+}
 
-__version__ = package_version()
+__all__ = sorted(_EXPORTS)
 
-__all__ = [
-    "AdaptiveAdversary",
-    "AdjacencyArrayGraph",
-    "ApproxMatchingResult",
-    "ContractViolation",
-    "DeltaPolicy",
-    "DynamicMaximalMatching",
-    "DynamicSparsifier",
-    "EdgeStream",
-    "LazyRebuildMatching",
-    "Matching",
-    "ObliviousAdversary",
-    "Pipeline",
-    "RandomSparsifier",
-    "SparsifierResult",
-    "approx_mcm",
-    "approximate_matching",
-    "build_sparsifier",
-    "check_matching",
-    "check_sparsifier_degree",
-    "check_subgraph",
-    "composed_sparsifier",
-    "contracts_enabled",
-    "delta_paper",
-    "delta_practical",
-    "distributed_approx_matching",
-    "distributed_baseline_matching",
-    "from_edges",
-    "from_networkx",
-    "greedy_maximal_matching",
-    "hopcroft_karp",
-    "mcm_approx",
-    "mcm_exact",
-    "mpc_approx_matching",
-    "neighborhood_independence_exact",
-    "solomon_sparsifier",
-    "sparsifier_quality",
-    "sparsify",
-    "streaming_approx_matching",
-    "streaming_greedy_matching",
-    "to_networkx",
-]
+_export, __dir__ = attach(__name__, _EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    """Resolve a public name, or ``__version__``, on first access."""
+    if name == "__version__":
+        from repro._version import package_version
+
+        globals()[name] = version = package_version()
+        return version
+    return _export(name)

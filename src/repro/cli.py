@@ -30,7 +30,6 @@ import inspect
 import sys
 
 from repro._version import package_version
-from repro.experiments import REGISTRY
 
 
 def _serve_main(argv: list[str]) -> int:
@@ -268,10 +267,10 @@ def _stats_main(argv: list[str]) -> int:
     return 0
 
 
-def _experiment_ids() -> list[str]:
+def _experiment_ids(registry: dict) -> list[str]:
     """Registry keys in numeric order (the help text derives its e-range
     from here rather than hardcoding it)."""
-    return sorted(REGISTRY, key=lambda k: int(k[1:]))
+    return sorted(registry, key=lambda k: int(k[1:]))
 
 
 def _accepted_kwargs(fn, **candidates):
@@ -300,7 +299,16 @@ def main(argv: list[str] | None = None) -> int:
         return _replay_main(argv[1:])
     if argv and argv[0] == "stats":
         return _stats_main(argv[1:])
-    ids = _experiment_ids()
+    if "--version" in argv:
+        # Answered before the experiment registry (and with it the
+        # scientific stack) is imported; the parser's own --version
+        # below still covers abbreviations such as --vers.
+        print(f"repro-experiments {package_version()}")
+        raise SystemExit(0)
+
+    from repro.experiments import REGISTRY
+
+    ids = _experiment_ids(REGISTRY)
     id_range = f"{ids[0]}..{ids[-1]}"
     parser = argparse.ArgumentParser(
         prog="repro-experiments",

@@ -33,50 +33,34 @@ The moving parts:
 See ``docs/SERVICE.md`` (sharding section) for the operational story.
 """
 
-from repro.cluster.hashing import place, placement_map, rendezvous_score
-from repro.cluster.link import ShardError, ShardLink
-from repro.cluster.metrics import (
-    aggregate_cluster_stats,
-    merge_counters,
-    merge_latency,
-    merge_sorted_samples,
-)
-from repro.cluster.replay import (
-    ClusterReplayError,
-    discover_shards,
-    replay_shard,
-    shard_sessions,
-    verify_cluster,
-    verify_shard,
-)
-from repro.cluster.router import ClusterRouter
-from repro.cluster.runner import BackgroundCluster, run_cluster
-from repro.cluster.supervisor import (
-    ClusterError,
-    ClusterSupervisor,
-    shard_journal_dir,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "BackgroundCluster",
-    "ClusterError",
-    "ClusterReplayError",
-    "ClusterRouter",
-    "ClusterSupervisor",
-    "ShardError",
-    "ShardLink",
-    "aggregate_cluster_stats",
-    "discover_shards",
-    "merge_counters",
-    "merge_latency",
-    "merge_sorted_samples",
-    "place",
-    "placement_map",
-    "rendezvous_score",
-    "replay_shard",
-    "run_cluster",
-    "shard_journal_dir",
-    "shard_sessions",
-    "verify_cluster",
-    "verify_shard",
-]
+#: Public names and their defining modules, each imported on first
+#: access (:mod:`repro._lazy`).
+_EXPORTS = {
+    "BackgroundCluster": "repro.cluster.runner",
+    "ClusterError": "repro.cluster.supervisor",
+    "ClusterReplayError": "repro.cluster.replay",
+    "ClusterRouter": "repro.cluster.router",
+    "ClusterSupervisor": "repro.cluster.supervisor",
+    "ShardError": "repro.cluster.link",
+    "ShardLink": "repro.cluster.link",
+    "aggregate_cluster_stats": "repro.cluster.metrics",
+    "discover_shards": "repro.cluster.replay",
+    "merge_counters": "repro.cluster.metrics",
+    "merge_latency": "repro.cluster.metrics",
+    "merge_sorted_samples": "repro.cluster.metrics",
+    "place": "repro.cluster.hashing",
+    "placement_map": "repro.cluster.hashing",
+    "rendezvous_score": "repro.cluster.hashing",
+    "replay_shard": "repro.cluster.replay",
+    "run_cluster": "repro.cluster.runner",
+    "shard_journal_dir": "repro.cluster.supervisor",
+    "shard_sessions": "repro.cluster.replay",
+    "verify_cluster": "repro.cluster.replay",
+    "verify_shard": "repro.cluster.replay",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

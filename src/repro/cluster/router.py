@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.cluster import metrics as cluster_metrics
 from repro.cluster.hashing import place
 from repro.cluster.link import ShardError, ShardLink
 from repro.service import protocol
@@ -38,7 +39,7 @@ from repro.service.protocol import (
     ok_response,
     parse_request,
 )
-from repro.service.server import pipe_connection
+from repro.service.transport import pipe_connection
 
 #: Ops forwarded to the session's home shard (everything naming a
 #: session, including ``create`` — creation *is* placement).
@@ -151,9 +152,7 @@ class ClusterRouter:
                             if isinstance(outcome, dict)],
                     unreachable=unreachable,
                 )
-            from repro.cluster.metrics import aggregate_cluster_stats
-
-            merged = aggregate_cluster_stats(shards)
+            merged = cluster_metrics.aggregate_cluster_stats(shards)
             merged["shards"] = self.num_shards
             merged["unreachable"] = unreachable
             return ok_response(**merged)

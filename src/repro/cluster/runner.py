@@ -5,7 +5,7 @@ calls: spawn the shard workers (:class:`ClusterSupervisor`), run the
 :class:`ClusterRouter` in the foreground until SIGTERM/SIGINT or a
 client ``shutdown``, then stop the workers gracefully and report a
 composite exit code.  :class:`BackgroundCluster` is the tests' and
-benchmarks' :class:`~repro.service.server.BackgroundServer` for a
+benchmarks' :class:`~repro.service.transport.BackgroundServer` for a
 cluster: real worker *processes*, but the router on a daemon thread and
 the whole thing a context manager.
 """
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from repro.cluster.router import ClusterRouter
 from repro.cluster.supervisor import ClusterSupervisor
-from repro.service.server import (
+from repro.service.transport import (
     BackgroundServer,
     _run_service_loop,
     _shutdown_on_signals,
@@ -126,7 +126,7 @@ class BackgroundCluster(BackgroundServer):
     :attr:`worker_exit_codes` (graceful workers exit 0 with journals
     flushed, so replay is valid immediately after the ``with`` block).
     The thread, readiness and router shutdown are
-    :class:`~repro.service.server.BackgroundServer`'s, with the
+    :class:`~repro.service.transport.BackgroundServer`'s, with the
     :class:`ClusterRouter` as its :attr:`service`.
     """
 

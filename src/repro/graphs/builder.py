@@ -7,12 +7,14 @@ deduplicates parallel edges, symmetrizes, and sorts neighbor lists so that
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.graphs.adjacency import AdjacencyArrayGraph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 EdgeList = Sequence[tuple[int, int]] | np.ndarray
 
@@ -85,6 +87,8 @@ def from_networkx(graph: nx.Graph) -> tuple[AdjacencyArrayGraph, dict]:
 
 def to_networkx(graph: AdjacencyArrayGraph) -> nx.Graph:
     """Convert to a NetworkX graph on nodes ``0..n-1`` (isolated included)."""
+    import networkx as nx
+
     nxg = nx.Graph()
     nxg.add_nodes_from(range(graph.num_vertices))
     nxg.add_edges_from(graph.edges())

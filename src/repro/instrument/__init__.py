@@ -9,39 +9,28 @@ Randomized entry points resolve the uniform ``seed=``/``rng=`` pair
 with :func:`~repro.instrument.rng.resolve_rng`.
 """
 
-from repro.instrument.counters import Counter, CounterSet
-from repro.instrument.rng import (
-    RngFingerprint,
-    RngSpec,
-    SanitizedGenerator,
-    resolve_rng,
-    rng_from_spec,
-    rng_sanitize_enabled,
-    rng_spec,
-    sanitize_rng,
-    spawn_rngs,
-    stream_id,
-)
-from repro.instrument.timers import Timer
-from repro.instrument.workmeter import (
-    WorkMeter,
-    work_audit_enabled,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "Counter",
-    "CounterSet",
-    "RngFingerprint",
-    "RngSpec",
-    "SanitizedGenerator",
-    "Timer",
-    "WorkMeter",
-    "resolve_rng",
-    "rng_from_spec",
-    "rng_sanitize_enabled",
-    "rng_spec",
-    "sanitize_rng",
-    "spawn_rngs",
-    "stream_id",
-    "work_audit_enabled",
-]
+#: Public names and their defining modules, each imported on first
+#: access (:mod:`repro._lazy`).
+_EXPORTS = {
+    "Counter": "repro.instrument.counters",
+    "CounterSet": "repro.instrument.counters",
+    "RngFingerprint": "repro.instrument.rng",
+    "RngSpec": "repro.instrument.rng",
+    "SanitizedGenerator": "repro.instrument.rng",
+    "Timer": "repro.instrument.timers",
+    "WorkMeter": "repro.instrument.workmeter",
+    "resolve_rng": "repro.instrument.rng",
+    "rng_from_spec": "repro.instrument.rng",
+    "rng_sanitize_enabled": "repro.instrument.rng",
+    "rng_spec": "repro.instrument.rng",
+    "sanitize_rng": "repro.instrument.rng",
+    "spawn_rngs": "repro.instrument.rng",
+    "stream_id": "repro.instrument.rng",
+    "work_audit_enabled": "repro.instrument.workmeter",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

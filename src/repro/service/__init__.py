@@ -34,34 +34,30 @@ CLI: ``repro-experiments serve`` starts a server,
 See ``docs/SERVICE.md`` for the protocol schema and semantics.
 """
 
-from repro.service.client import AsyncServiceClient, ServiceClient, ServiceError
-from repro.service.journal import (
-    JOURNAL_FORMAT,
-    JournalError,
-    ReplayJournal,
-    read_journal,
-    replay_journal,
-)
-from repro.service.protocol import PROTOCOL, ProtocolError
-from repro.service.server import BackgroundServer, MatchingService, run_server
-from repro.service.session import BACKENDS, Session, UpdateError, theorem_work_budget
+from repro._lazy import attach
 
-__all__ = [
-    "AsyncServiceClient",
-    "BACKENDS",
-    "BackgroundServer",
-    "JOURNAL_FORMAT",
-    "JournalError",
-    "MatchingService",
-    "PROTOCOL",
-    "ProtocolError",
-    "ReplayJournal",
-    "ServiceClient",
-    "ServiceError",
-    "Session",
-    "UpdateError",
-    "read_journal",
-    "replay_journal",
-    "run_server",
-    "theorem_work_budget",
-]
+#: Public names and their defining modules, each imported on first
+#: access (:mod:`repro._lazy`).
+_EXPORTS = {
+    "AsyncServiceClient": "repro.service.client",
+    "BACKENDS": "repro.service.session",
+    "BackgroundServer": "repro.service.transport",
+    "JOURNAL_FORMAT": "repro.service.journal",
+    "JournalError": "repro.service.journal",
+    "MatchingService": "repro.service.server",
+    "PROTOCOL": "repro.service.protocol",
+    "ProtocolError": "repro.service.protocol",
+    "ReplayJournal": "repro.service.journal",
+    "ServiceClient": "repro.service.client",
+    "ServiceError": "repro.service.client",
+    "Session": "repro.service.session",
+    "UpdateError": "repro.service.session",
+    "read_journal": "repro.service.journal",
+    "replay_journal": "repro.service.journal",
+    "run_server": "repro.service.server",
+    "theorem_work_budget": "repro.service.session",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

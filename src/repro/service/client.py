@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.matching.matching import Matching
 from repro.service.protocol import encode
+
+if TYPE_CHECKING:
+    from repro.matching.matching import Matching
 
 
 class ServiceError(RuntimeError):
@@ -187,6 +189,8 @@ class ServiceClient:
 
         Pass ``num_vertices`` when known (saves a ``stats`` round-trip).
         """
+        from repro.matching.matching import Matching
+
         payload = self.query_matching(session)
         if num_vertices is None:
             num_vertices = self.stats(session)["num_vertices"]

@@ -48,8 +48,6 @@ import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 #: Environment variable that switches the deterministic loop on.
 ASYNC_SANITIZE_ENV = "REPRO_ASYNC_SANITIZE"
 
@@ -185,7 +183,11 @@ class DeterministicScheduler:
         self.trace = InterleavingTrace(
             seed=schedule.seed if schedule is not None else seed
         )
-        self._rng = None if seed is None else np.random.default_rng(seed)
+        self._rng = None
+        if seed is not None:
+            import numpy as np
+
+            self._rng = np.random.default_rng(seed)
         self._schedule = schedule
         self._cursor = 0
         # Stable task identities: first-appearance ordinal, weakly keyed

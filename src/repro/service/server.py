@@ -19,19 +19,19 @@ reported as ``internal`` without killing the connection.
 :class:`BackgroundServer` runs the whole thing on an ephemeral port in
 a daemon thread — the harness used by the test-suite and
 ``examples/service_demo.py``, and the base of the cluster's
-:class:`~repro.cluster.runner.BackgroundCluster`.
+:class:`~repro.cluster.runner.BackgroundCluster`.  It and the
+connection loop live in :mod:`repro.service.transport`, which the
+router shares without importing the session stack; they are
+re-exported here.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import signal
 import sys
-import threading
 from pathlib import Path
-from typing import Awaitable, Callable
 
+from repro.cluster import metrics as cluster_metrics
 from repro.service import protocol
 from repro.service.batching import Backpressure, MicroBatcher
 from repro.service.journal import ReplayJournal
@@ -44,80 +44,12 @@ from repro.service.protocol import (
     parse_request,
 )
 from repro.service.session import Session, UpdateError, validate_session_params
-
-_EOF = object()
-
-
-async def pipe_connection(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    respond: Callable[[str], Awaitable[bytes]],
-    max_inflight: int,
-) -> None:
-    """Drive one JSON-lines connection with bounded in-order pipelining.
-
-    Each request line becomes its own ``respond`` task; encoded
-    response lines are written back *in request order*.  Pipelining is
-    bounded: once ``max_inflight`` requests are awaiting responses, the
-    loop stops reading from the socket until responses drain, so a
-    client that never reads cannot grow the outbox (or the per-request
-    task set) without limit.
-
-    Shared by :class:`MatchingService` and the
-    :class:`repro.cluster.router.ClusterRouter` front-end — the two
-    speak the same wire protocol and need the same transport
-    discipline.
-    """
-    loop = asyncio.get_running_loop()
-    # The semaphore admits at most max_inflight response tasks, so
-    # the outbox can never hold more than that plus the EOF
-    # sentinel; the bound makes the invariant structural.
-    outbox: asyncio.Queue = asyncio.Queue(maxsize=max_inflight + 1)
-    inflight = asyncio.Semaphore(max_inflight)
-
-    async def write_responses() -> None:
-        while True:
-            task = await outbox.get()
-            if task is _EOF:
-                return
-            writer.write(await task)
-            await writer.drain()
-            inflight.release()
-
-    writer_task = loop.create_task(write_responses())
-    # If the writer dies early (client reset mid-write), a reader
-    # blocked on the semaphore must wake up to notice and bail out.
-    writer_task.add_done_callback(lambda _task: inflight.release())
-    try:
-        while True:
-            await inflight.acquire()
-            if writer_task.done():
-                break
-            line = await reader.readline()
-            if not line:
-                outbox.put_nowait(_EOF)
-                break
-            outbox.put_nowait(loop.create_task(
-                respond(line.decode("utf-8", "replace"))
-            ))
-        await writer_task
-    except ConnectionResetError:  # pragma: no cover - client vanished
-        writer_task.cancel()
-    except asyncio.CancelledError:
-        # Server shutdown cancels live connection tasks; swallow the
-        # cancellation (instead of re-raising into asyncio's stream
-        # callback, which would log it) and fall through to cleanup.
-        writer_task.cancel()
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError,
-                asyncio.CancelledError):
-            # CancelledError lands here when shutdown cancels the
-            # task mid-wait; completing normally keeps asyncio's
-            # stream callback from logging a spurious traceback.
-            pass
+from repro.service.transport import BackgroundServer as BackgroundServer
+from repro.service.transport import (
+    _run_service_loop,
+    _shutdown_on_signals,
+    pipe_connection,
+)
 
 
 class MatchingService:
@@ -300,11 +232,9 @@ class MatchingService:
             # A plain server is a cluster of one: answer with the same
             # merged shape the repro.cluster router produces, so `stats`
             # tooling works unchanged against either.
-            from repro.cluster.metrics import aggregate_cluster_stats
-
-            return ok_response(
-                **aggregate_cluster_stats([self.shard_stats_payload()])
-            )
+            return ok_response(**cluster_metrics.aggregate_cluster_stats(
+                [self.shard_stats_payload()]
+            ))
         if op == "shutdown":
             if not self.allow_shutdown:
                 raise ProtocolError(
@@ -488,104 +418,3 @@ def run_server(
     except KeyboardInterrupt:  # pragma: no cover - interactive use
         print("interrupted; shutting down", file=sys.stderr)
     return 0
-
-
-@contextlib.contextmanager
-def _shutdown_on_signals(request_shutdown: Callable[[], None]):
-    """Route SIGTERM/SIGINT to ``request_shutdown`` on the running loop.
-
-    The handlers are removed again on exit.  Where the loop cannot take
-    signal handlers (a non-main thread, or a platform without loop
-    signal support) nothing is installed; the shutdown op still works.
-    """
-    loop = asyncio.get_running_loop()
-    installed = []
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, request_shutdown)
-            installed.append(signum)
-        except (NotImplementedError, RuntimeError):
-            pass
-    try:
-        yield
-    finally:
-        for signum in installed:
-            loop.remove_signal_handler(signum)
-
-
-def _run_service_loop(main) -> object:
-    """Run the service coroutine, honoring ``REPRO_ASYNC_SANITIZE=1``.
-
-    The sanitized path swaps in the deterministic event loop
-    (:mod:`repro.service.sanitizer`): task interleaving is recorded —
-    and optionally seed-perturbed — instead of left to arrival order.
-    The default path is a plain :func:`asyncio.run`.
-    """
-    from repro.service import sanitizer
-
-    if sanitizer.async_sanitize_enabled():
-        return sanitizer.run_sanitized(main)
-    return asyncio.run(main)
-
-
-class BackgroundServer:
-    """A server on an ephemeral port in a daemon thread (tests/benchmarks).
-
-    Usage::
-
-        with BackgroundServer(journal_dir=tmp) as server:
-            client = ServiceClient(server.host, server.port)
-            ...
-
-    The context manager waits until the socket is listening on entry
-    and requests a clean shutdown (draining batchers, closing
-    journals) on exit.  It serves whatever :attr:`service` holds at
-    entry: anything with ``serve_forever(on_ready=...)`` and
-    ``request_shutdown()`` (:class:`~repro.cluster.runner.BackgroundCluster`
-    puts its router there).
-    """
-
-    #: The listening address, set once the server is up.
-    host: str | None = None
-    port: int | None = None
-    _loop: asyncio.AbstractEventLoop | None = None
-
-    def __init__(self, **config) -> None:
-        """Store the :class:`MatchingService` configuration."""
-        config.setdefault("allow_shutdown", True)
-        self.service = MatchingService(**config)
-
-    def _run(self) -> None:
-        async def main() -> None:
-            self._loop = asyncio.get_running_loop()
-
-            def ready(host: str, port: int) -> None:
-                self.host, self.port = host, port
-                self._ready.set()
-
-            await self.service.serve_forever(on_ready=ready)
-
-        _run_service_loop(main())
-
-    def __enter__(self) -> "BackgroundServer":
-        """Start the thread and block until the server is listening."""
-        self._ready = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=30):  # pragma: no cover - hang guard
-            raise RuntimeError(f"{type(self).__name__} failed to start")
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        """Request shutdown and join the server thread."""
-        if self._loop is not None:
-            try:
-                self._loop.call_soon_threadsafe(
-                    self.service.request_shutdown
-                )
-            except RuntimeError:
-                # Loop already closed: the service stopped on its own
-                # (a client-issued ``shutdown``, or a dead shard worker
-                # under a cluster router) — nothing left to do.
-                pass
-        self._thread.join(timeout=30)

@@ -53,3 +53,50 @@ def test_doctest_module_examples():
                 repro.instrument.timers):
         failures, _ = doctest.testmod(mod)
         assert failures == 0
+
+
+FACADES = ["repro", "repro.service", "repro.cluster", "repro.instrument"]
+
+
+@pytest.mark.parametrize("package", FACADES)
+class TestLazyFacades:
+    """The facades export lazily (:mod:`repro._lazy`) but must behave
+    exactly like the eager re-export blocks they replaced."""
+
+    def test_all_is_the_sorted_export_map(self, package):
+        facade = importlib.import_module(package)
+        assert facade.__all__ == sorted(facade._EXPORTS)
+
+    def test_every_name_is_its_defining_modules_object(self, package):
+        facade = importlib.import_module(package)
+        for name in facade.__all__:
+            defining = importlib.import_module(facade._EXPORTS[name])
+            assert getattr(facade, name) is getattr(defining, name), name
+
+    def test_dir_lists_every_name(self, package):
+        facade = importlib.import_module(package)
+        assert set(facade.__all__) <= set(dir(facade))
+
+    def test_star_import_binds_every_name(self, package):
+        namespace: dict = {}
+        exec(f"from {package} import *", namespace)
+        facade = importlib.import_module(package)
+        for name in facade.__all__:
+            assert namespace[name] is getattr(facade, name), name
+
+    def test_unknown_name_raises_naming_the_package(self, package):
+        facade = importlib.import_module(package)
+        with pytest.raises(AttributeError, match=repr(package)):
+            facade.no_such_name
+
+    def test_submodules_still_import_through_the_facade(self, package):
+        facade = importlib.import_module(package)
+        prefix = package + "."
+        children = {module[len(prefix):].split(".")[0]
+                    for module in facade._EXPORTS.values()
+                    if module.startswith(prefix)}
+        for name in sorted(children):
+            namespace: dict = {}
+            exec(f"from {package} import {name} as bound", namespace)
+            assert namespace["bound"] is importlib.import_module(
+                prefix + name), name
