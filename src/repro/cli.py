@@ -45,55 +45,26 @@ def _serve_main(argv: list[str]) -> int:
     parser.add_argument("--journal-dir", default=None,
                         help="write per-session replay journals to this "
                              "directory (default: journaling off)")
-    parser.add_argument("--max-batch", type=int, default=32,
-                        help="micro-batch size bound (default 32)")
-    parser.add_argument("--max-queue", type=int, default=1024,
-                        help="per-session queue bound; fuller queues "
-                             "reject updates with backpressure")
-    parser.add_argument("--budget-ms", type=float, default=None,
-                        help="default per-update latency budget in ms")
     parser.add_argument("--allow-shutdown", action="store_true",
                         help="honor the client 'shutdown' op (CI/bench)")
-    parser.add_argument("--max-inflight", type=int, default=256,
-                        help="per-connection pipelining bound; beyond it "
-                             "the socket is not read until responses "
-                             "drain (default 256)")
     parser.add_argument("--shards", type=int, default=None, metavar="N",
                         help="run a sharded cluster: spawn N worker "
                              "processes and route sessions to them by "
                              "rendezvous hash (journals land in "
                              "<journal-dir>/shard-K/); default is the "
                              "single-process server")
-    parser.add_argument("--window", type=int, default=64,
-                        help="router->shard in-flight window per shard "
-                             "(cluster mode only, default 64)")
     args = parser.parse_args(argv)
-
-    from repro.service.metrics import DEFAULT_BUDGET_MS
 
     if args.shards is not None:
         from repro.cluster.runner import run_cluster
 
-        return run_cluster(
-            host=args.host, port=args.port, shards=args.shards,
-            journal_dir=args.journal_dir,
-            max_batch=args.max_batch, max_queue=args.max_queue,
-            budget_ms=args.budget_ms,
-            allow_shutdown=args.allow_shutdown,
-            max_inflight=args.max_inflight,
-            window=args.window,
-        )
+        return run_cluster(args.host, args.port, args.shards,
+                           args.journal_dir, args.allow_shutdown)
 
     from repro.service.server import run_server
 
-    return run_server(
-        host=args.host, port=args.port, journal_dir=args.journal_dir,
-        max_batch=args.max_batch, max_queue=args.max_queue,
-        budget_ms=(DEFAULT_BUDGET_MS if args.budget_ms is None
-                   else args.budget_ms),
-        allow_shutdown=args.allow_shutdown,
-        max_inflight=args.max_inflight,
-    )
+    return run_server(args.host, args.port, args.journal_dir,
+                      args.allow_shutdown)
 
 
 def _replay_cluster_main(args) -> int:

@@ -6,11 +6,11 @@ a connection (the ``repro-service-v1`` contract), so correlation needs
 no request ids: a bounded FIFO queue of pending futures is popped as
 response lines arrive.
 
-The queue bound is the link's **in-flight window**: at most ``window``
-requests may be awaiting shard responses; further senders wait on the
-queue (FIFO), which propagates backpressure from a slow shard up to
-the router's per-client pipelining cap — and from there, by the
-router not reading the client socket, to TCP itself.  Shard-level
+The queue bound is the link's **in-flight window**: at most
+:data:`WINDOW` requests may be awaiting shard responses; further
+senders wait on the queue (FIFO), which propagates backpressure from a
+slow shard up to the router's per-client pipelining cap — and from
+there, by the router not reading the client socket, to TCP itself.  Shard-level
 admission rejections (the ``backpressure`` error code) are ordinary
 responses and pass through to the client verbatim.
 """
@@ -21,6 +21,9 @@ import asyncio
 import json
 
 from repro.service.protocol import encode
+
+#: In-flight window: the most requests awaiting responses on one link.
+WINDOW = 64
 
 
 class ShardError(RuntimeError):
@@ -48,25 +51,18 @@ class ShardLink:
         Shard index (used in error messages and stats).
     host, port:
         The worker's listening address.
-    window:
-        In-flight window: the most requests awaiting responses on this
-        link at once.
     """
 
-    def __init__(self, shard_id: int, host: str, port: int,
-                 window: int = 64) -> None:
+    def __init__(self, shard_id: int, host: str, port: int) -> None:
         """Record the address; call :meth:`connect` inside a loop."""
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
         self.shard_id = shard_id
         self.host = host
         self.port = port
-        self.window = window
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         # Bounded at the window: senders block on put() when the shard
-        # has `window` responses outstanding (R13 discipline).
-        self._pending: asyncio.Queue = asyncio.Queue(maxsize=window)
+        # has WINDOW responses outstanding (R13 discipline).
+        self._pending: asyncio.Queue = asyncio.Queue(maxsize=WINDOW)
         self._lock = asyncio.Lock()
         self._receiver: asyncio.Task | None = None
         self._dead = False

@@ -28,10 +28,14 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.cluster.hashing import place
 from repro.contracts import check_replay_sessions
 from repro.service.journal import replay_journal
+
+if TYPE_CHECKING:
+    from repro.service.session import Session
 
 #: How a shard journal directory is named under the cluster root.
 SHARD_DIR_RE = re.compile(r"^shard-(\d+)$")
@@ -74,23 +78,25 @@ def shard_sessions(shard_dir: str | Path) -> list[Path]:
     return sorted(Path(shard_dir).glob("*.jsonl"))
 
 
+def _report(journal_path: Path, session: Session) -> dict:
+    """One session's entry in a shard report."""
+    return {
+        "session": session.name,
+        "journal": str(journal_path),
+        "seq": session.seq,
+        "size": session.matching.size,
+        "fingerprint": session.fingerprint(),
+    }
+
+
 def replay_shard(shard_dir: str | Path, upto: int | None = None) -> list[dict]:
     """Replay every session in one shard once (no identity check).
 
     Returns the same report shape as :func:`verify_shard`; use that
     when you want the byte-identity assertion too.
     """
-    reports = []
-    for journal_path in shard_sessions(shard_dir):
-        session = replay_journal(journal_path, upto=upto)
-        reports.append({
-            "session": session.name,
-            "journal": str(journal_path),
-            "seq": session.seq,
-            "size": session.matching.size,
-            "fingerprint": session.fingerprint(),
-        })
-    return reports
+    return [_report(path, replay_journal(path, upto=upto))
+            for path in shard_sessions(shard_dir)]
 
 
 def verify_shard(shard_dir: str | Path, upto: int | None = None) -> list[dict]:
@@ -102,16 +108,10 @@ def verify_shard(shard_dir: str | Path, upto: int | None = None) -> list[dict]:
     :class:`repro.contracts.ContractViolation`.
     """
     reports = []
-    for journal_path in shard_sessions(shard_dir):
-        session = replay_journal(journal_path, upto=upto)
-        check_replay_sessions(session, replay_journal(journal_path, upto=upto))
-        reports.append({
-            "session": session.name,
-            "journal": str(journal_path),
-            "seq": session.seq,
-            "size": session.matching.size,
-            "fingerprint": session.fingerprint(),
-        })
+    for path in shard_sessions(shard_dir):
+        session = replay_journal(path, upto=upto)
+        check_replay_sessions(session, replay_journal(path, upto=upto))
+        reports.append(_report(path, session))
     return reports
 
 

@@ -39,7 +39,7 @@ from repro.service.protocol import (
     ok_response,
     parse_request,
 )
-from repro.service.transport import pipe_connection
+from repro.service.transport import MAX_INFLIGHT, pipe_connection
 
 #: Ops forwarded to the session's home shard (everything naming a
 #: session, including ``create`` — creation *is* placement).
@@ -55,11 +55,6 @@ class ClusterRouter:
         ``[(host, port), ...]`` of the shard workers, indexed by shard
         id — the order must match the workers' journal directories
         (``shard-0``, ``shard-1``, …).
-    window:
-        Per-shard in-flight window (see :class:`ShardLink`).
-    max_inflight:
-        Per-client-connection pipelining bound (same meaning as the
-        single-process server's).
     allow_shutdown:
         Whether the client ``shutdown`` op stops the router.
     """
@@ -67,18 +62,15 @@ class ClusterRouter:
     def __init__(
         self,
         shard_addresses: list[tuple[str, int]],
-        window: int = 64,
-        max_inflight: int = 256,
         allow_shutdown: bool = False,
     ) -> None:
         """Build one link per shard; nothing connects until served."""
         if not shard_addresses:
             raise ValueError("a cluster needs at least one shard")
         self.links = [
-            ShardLink(shard_id, host, port, window=window)
+            ShardLink(shard_id, host, port)
             for shard_id, (host, port) in enumerate(shard_addresses)
         ]
-        self.max_inflight = max_inflight
         self.allow_shutdown = allow_shutdown
         self._shutdown = asyncio.Event()
 
@@ -188,7 +180,7 @@ class ClusterRouter:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """Serve one client connection (bounded in-order pipelining)."""
-        await pipe_connection(reader, writer, self._respond, self.max_inflight)
+        await pipe_connection(reader, writer, self._respond, MAX_INFLIGHT)
 
     def request_shutdown(self) -> None:
         """Ask a running :meth:`serve_forever` to stop (call via

@@ -49,12 +49,7 @@ def run_cluster(
     port: int = 8765,
     shards: int = 2,
     journal_dir: str | Path | None = None,
-    max_batch: int = 32,
-    max_queue: int = 1024,
-    budget_ms: float | None = None,
     allow_shutdown: bool = False,
-    max_inflight: int = 256,
-    window: int = 64,
 ) -> int:
     """Blocking entry point for ``repro-experiments serve --shards N``.
 
@@ -64,24 +59,11 @@ def run_cluster(
     SIGTERMs the workers and waits for their graceful exits.  Returns 0
     only when every worker exited 0 and none died mid-run.
     """
-    supervisor = ClusterSupervisor(
-        shards=shards,
-        journal_dir=journal_dir,
-        host="127.0.0.1",
-        max_batch=max_batch,
-        max_queue=max_queue,
-        budget_ms=budget_ms,
-        max_inflight=max_inflight,
-    )
+    supervisor = ClusterSupervisor(shards, journal_dir)
     supervisor.start()
     worker_died = False
 
-    router = ClusterRouter(
-        supervisor.addresses(),
-        window=window,
-        max_inflight=max_inflight,
-        allow_shutdown=allow_shutdown,
-    )
+    router = ClusterRouter(supervisor.addresses(), allow_shutdown)
 
     async def main() -> None:
         nonlocal worker_died
@@ -131,13 +113,9 @@ class BackgroundCluster(BackgroundServer):
     """
 
     def __init__(self, shards: int = 2,
-                 journal_dir: str | Path | None = None,
-                 window: int = 64, **worker_config) -> None:
+                 journal_dir: str | Path | None = None) -> None:
         """Store the topology; nothing starts until ``__enter__``."""
-        self.supervisor = ClusterSupervisor(
-            shards=shards, journal_dir=journal_dir, **worker_config
-        )
-        self.window = window
+        self.supervisor = ClusterSupervisor(shards, journal_dir)
         self.service: ClusterRouter | None = None
         self.worker_exit_codes: list[int] | None = None
 
@@ -146,9 +124,7 @@ class BackgroundCluster(BackgroundServer):
         self.supervisor.start()
         try:
             self.service = ClusterRouter(
-                self.supervisor.addresses(),
-                window=self.window,
-                allow_shutdown=True,
+                self.supervisor.addresses(), allow_shutdown=True
             )
             super().__enter__()
         except Exception:

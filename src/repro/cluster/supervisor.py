@@ -108,8 +108,6 @@ class ClusterSupervisor:
         ``<journal_dir>/shard-K/``.  ``None`` disables journaling.
     host:
         Interface the workers bind (ephemeral ports).
-    max_batch, max_queue, budget_ms, max_inflight:
-        Forwarded to every worker's ``serve`` flags.
 
     Usage::
 
@@ -123,10 +121,6 @@ class ClusterSupervisor:
         shards: int,
         journal_dir: str | Path | None = None,
         host: str = "127.0.0.1",
-        max_batch: int = 32,
-        max_queue: int = 1024,
-        budget_ms: float | None = None,
-        max_inflight: int = 256,
     ) -> None:
         """Validate the shape; no processes spawn until :meth:`start`."""
         if shards < 1:
@@ -134,10 +128,6 @@ class ClusterSupervisor:
         self.shards = shards
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
         self.host = host
-        self.max_batch = max_batch
-        self.max_queue = max_queue
-        self.budget_ms = budget_ms
-        self.max_inflight = max_inflight
         self.workers: list[ShardWorker] = []
 
     # ------------------------------------------------------------------ #
@@ -146,12 +136,7 @@ class ClusterSupervisor:
         command = [
             sys.executable, "-m", "repro.cli", "serve",
             "--host", self.host, "--port", "0",
-            "--max-batch", str(self.max_batch),
-            "--max-queue", str(self.max_queue),
-            "--max-inflight", str(self.max_inflight),
         ]
-        if self.budget_ms is not None:
-            command += ["--budget-ms", str(self.budget_ms)]
         if self.journal_dir is not None:
             journal_dir = shard_journal_dir(self.journal_dir, shard_id)
             # Eager creation: an empty shard (rendezvous placed no

@@ -10,38 +10,28 @@
 * :mod:`repro.core.lower_bounds` — Lemma 2.13 / Obs 2.14 constructions.
 """
 
-from repro.core.bounds import PaperBounds
-from repro.core.delta import (
-    DeltaPolicy,
-    PAPER_CONSTANT,
-    PRACTICAL_CONSTANT,
-    beta_regime_ok,
-    delta_paper,
-    delta_practical,
-)
-from repro.core.sparsifier import RandomSparsifier, SparsifierResult, build_sparsifier
-from repro.core.bounded_degree import solomon_sparsifier
-from repro.core.compose import composed_sparsifier
-from repro.core.properties import (
-    arboricity_bound_holds,
-    size_bound_holds,
-    sparsifier_quality,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "DeltaPolicy",
-    "PAPER_CONSTANT",
-    "PRACTICAL_CONSTANT",
-    "PaperBounds",
-    "RandomSparsifier",
-    "SparsifierResult",
-    "arboricity_bound_holds",
-    "beta_regime_ok",
-    "build_sparsifier",
-    "composed_sparsifier",
-    "delta_paper",
-    "delta_practical",
-    "size_bound_holds",
-    "solomon_sparsifier",
-    "sparsifier_quality",
-]
+#: Public names and their defining modules, each imported on first
+#: access (:mod:`repro._lazy`).
+_EXPORTS = {
+    "DeltaPolicy": "repro.core.delta",
+    "PAPER_CONSTANT": "repro.core.delta",
+    "PRACTICAL_CONSTANT": "repro.core.delta",
+    "PaperBounds": "repro.core.bounds",
+    "RandomSparsifier": "repro.core.sparsifier",
+    "SparsifierResult": "repro.core.sparsifier",
+    "arboricity_bound_holds": "repro.core.properties",
+    "beta_regime_ok": "repro.core.delta",
+    "build_sparsifier": "repro.core.sparsifier",
+    "composed_sparsifier": "repro.core.compose",
+    "delta_paper": "repro.core.delta",
+    "delta_practical": "repro.core.delta",
+    "size_bound_holds": "repro.core.properties",
+    "solomon_sparsifier": "repro.core.bounded_degree",
+    "sparsifier_quality": "repro.core.properties",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

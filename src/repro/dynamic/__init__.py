@@ -15,27 +15,23 @@
   generators for experiment E10.
 """
 
-from repro.dynamic.graph import DynamicGraph
-from repro.dynamic.stability import stability_factor, StabilityTracker
-from repro.dynamic.lazy_rebuild import LazyRebuildMatching
-from repro.dynamic.oblivious import ObliviousDynamicMatching
-from repro.dynamic.dynamic_sparsifier import DynamicSparsifier
-from repro.dynamic.baseline import DynamicMaximalMatching
-from repro.dynamic.adversaries import (
-    AdaptiveAdversary,
-    ObliviousAdversary,
-    Update,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "AdaptiveAdversary",
-    "DynamicGraph",
-    "DynamicMaximalMatching",
-    "DynamicSparsifier",
-    "LazyRebuildMatching",
-    "ObliviousAdversary",
-    "ObliviousDynamicMatching",
-    "StabilityTracker",
-    "Update",
-    "stability_factor",
-]
+#: Public names and their defining modules, each imported on first
+#: access (:mod:`repro._lazy`).
+_EXPORTS = {
+    "AdaptiveAdversary": "repro.dynamic.adversaries",
+    "DynamicGraph": "repro.dynamic.graph",
+    "DynamicMaximalMatching": "repro.dynamic.baseline",
+    "DynamicSparsifier": "repro.dynamic.dynamic_sparsifier",
+    "LazyRebuildMatching": "repro.dynamic.lazy_rebuild",
+    "ObliviousAdversary": "repro.dynamic.adversaries",
+    "ObliviousDynamicMatching": "repro.dynamic.oblivious",
+    "StabilityTracker": "repro.dynamic.stability",
+    "Update": "repro.dynamic.adversaries",
+    "stability_factor": "repro.dynamic.stability",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

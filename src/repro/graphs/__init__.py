@@ -8,40 +8,27 @@ that model, with an optional probe counter so experiments can certify
 sublinearity.
 """
 
-from repro.graphs.adjacency import AdjacencyArrayGraph
-from repro.graphs.builder import (
-    from_edges,
-    from_networkx,
-    to_networkx,
-    validate_edge_list,
-)
-from repro.graphs.neighborhood import (
-    neighborhood_independence_exact,
-    neighborhood_independence_greedy,
-    neighborhood_independence_sampled,
-    neighborhood_independence_upper,
-)
-from repro.graphs.arboricity import (
-    arboricity_exact_small,
-    arboricity_lower_bound,
-    arboricity_upper_bound,
-    degeneracy,
-)
-from repro.graphs.sparse_array import SparseArray
+from repro._lazy import attach
 
-__all__ = [
-    "AdjacencyArrayGraph",
-    "SparseArray",
-    "arboricity_exact_small",
-    "arboricity_lower_bound",
-    "arboricity_upper_bound",
-    "degeneracy",
-    "from_edges",
-    "from_networkx",
-    "neighborhood_independence_exact",
-    "neighborhood_independence_greedy",
-    "neighborhood_independence_sampled",
-    "neighborhood_independence_upper",
-    "to_networkx",
-    "validate_edge_list",
-]
+#: Public names and their defining modules, each imported on first
+#: access (:mod:`repro._lazy`).
+_EXPORTS = {
+    "AdjacencyArrayGraph": "repro.graphs.adjacency",
+    "SparseArray": "repro.graphs.sparse_array",
+    "arboricity_exact_small": "repro.graphs.arboricity",
+    "arboricity_lower_bound": "repro.graphs.arboricity",
+    "arboricity_upper_bound": "repro.graphs.arboricity",
+    "degeneracy": "repro.graphs.arboricity",
+    "from_edges": "repro.graphs.builder",
+    "from_networkx": "repro.graphs.builder",
+    "neighborhood_independence_exact": "repro.graphs.neighborhood",
+    "neighborhood_independence_greedy": "repro.graphs.neighborhood",
+    "neighborhood_independence_sampled": "repro.graphs.neighborhood",
+    "neighborhood_independence_upper": "repro.graphs.neighborhood",
+    "to_networkx": "repro.graphs.builder",
+    "validate_edge_list": "repro.graphs.builder",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

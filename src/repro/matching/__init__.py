@@ -6,25 +6,27 @@ and return a :class:`~repro.matching.matching.Matching`.  ``mcm_exact``
 is measured against; it is itself validated against NetworkX in tests.
 """
 
-from repro.matching.matching import Matching
-from repro.matching.greedy import greedy_maximal_matching
-from repro.matching.hopcroft_karp import bipartition, hopcroft_karp
-from repro.matching.blossom import mcm_exact
-from repro.matching.approx import mcm_approx
-from repro.matching.gallai_edmonds import (
-    GallaiEdmonds,
-    gallai_edmonds_decomposition,
-    is_maximum_matching,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "GallaiEdmonds",
-    "Matching",
-    "bipartition",
-    "gallai_edmonds_decomposition",
-    "greedy_maximal_matching",
-    "hopcroft_karp",
-    "is_maximum_matching",
-    "mcm_approx",
-    "mcm_exact",
-]
+# ``hopcroft_karp`` names a submodule and its function: importing the
+# submodule rebinds the package attribute to the module, after which
+# ``__getattr__`` is never asked.  Bind the function eagerly instead.
+from repro.matching.hopcroft_karp import hopcroft_karp
+
+#: Public names and their defining modules, each imported on first
+#: access (:mod:`repro._lazy`).
+_EXPORTS = {
+    "GallaiEdmonds": "repro.matching.gallai_edmonds",
+    "Matching": "repro.matching.matching",
+    "bipartition": "repro.matching.hopcroft_karp",
+    "gallai_edmonds_decomposition": "repro.matching.gallai_edmonds",
+    "greedy_maximal_matching": "repro.matching.greedy",
+    "hopcroft_karp": "repro.matching.hopcroft_karp",
+    "is_maximum_matching": "repro.matching.gallai_edmonds",
+    "mcm_approx": "repro.matching.approx",
+    "mcm_exact": "repro.matching.blossom",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = attach(__name__, _EXPORTS)

@@ -25,7 +25,7 @@ Layers (bottom-up):
   and backpressure (rejected-over-budget accounting).
 * :mod:`repro.service.server` — the asyncio TCP server and the
   in-thread :class:`BackgroundServer` used by tests and benchmarks.
-* :mod:`repro.service.client` — async client + a synchronous wrapper.
+* :mod:`repro.service.client` — the blocking client.
 * :mod:`repro.service.loadgen` — deterministic oblivious/adaptive
   load generation driven through the client.
 
@@ -39,7 +39,6 @@ from repro._lazy import attach
 #: Public names and their defining modules, each imported on first
 #: access (:mod:`repro._lazy`).
 _EXPORTS = {
-    "AsyncServiceClient": "repro.service.client",
     "BACKENDS": "repro.service.session",
     "BackgroundServer": "repro.service.transport",
     "JOURNAL_FORMAT": "repro.service.journal",

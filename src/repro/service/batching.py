@@ -2,7 +2,7 @@
 
 Concurrent client updates to one session are funneled through a
 :class:`MicroBatcher`: a bounded asyncio queue drained by a single
-worker task that applies up to ``max_batch`` updates back-to-back,
+worker task that applies up to :data:`MAX_BATCH` updates back-to-back,
 flushes the replay journal once per batch, and attributes the batch's
 measured wall-clock time evenly across its updates (one clock-read
 pair per batch, not per update).
@@ -12,7 +12,7 @@ deterministic: updates are applied — and journaled — in one total
 order, so replaying the journal reproduces the matching regardless of
 how many clients raced to submit.
 
-**Backpressure.**  The queue is bounded (``max_queue``); a submit that
+**Backpressure.**  The queue is bounded (:data:`MAX_QUEUE`); a submit that
 does not fit is rejected *immediately* with :class:`Backpressure`
 (surfaced to the client as the ``backpressure`` error code) and
 counted in ``rejected_over_budget``.  Batch submissions are
@@ -27,6 +27,12 @@ from contextlib import suppress
 
 from repro.instrument.timers import now
 from repro.service.session import Session, UpdateError
+
+#: Largest number of queued updates one worker turn applies back-to-back.
+MAX_BATCH = 32
+
+#: Per-session queue bound; submits beyond it raise :class:`Backpressure`.
+MAX_QUEUE = 1024
 
 
 class Backpressure(RuntimeError):
@@ -51,10 +57,6 @@ class MicroBatcher:
     ----------
     session:
         The :class:`~repro.service.session.Session` to apply updates to.
-    max_batch:
-        Largest number of queued updates applied back-to-back.
-    max_queue:
-        Queue bound; submits beyond it raise :class:`Backpressure`.
 
     Notes
     -----
@@ -63,21 +65,13 @@ class MicroBatcher:
     worker.
     """
 
-    def __init__(
-        self, session: Session, *, max_batch: int = 32, max_queue: int = 1024
-    ) -> None:
+    def __init__(self, session: Session) -> None:
         """Start the worker task for ``session``."""
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self.session = session
-        self.max_batch = max_batch
-        self.max_queue = max_queue
         # Bounded at the backpressure threshold: submit() rejects before
         # put_nowait could ever overflow, so the bound is a hard backstop
         # (and satisfies the R13 unbounded-queue discipline).
-        self._queue: asyncio.Queue = asyncio.Queue(maxsize=max_queue)
+        self._queue: asyncio.Queue = asyncio.Queue(maxsize=MAX_QUEUE)
         self._closed = False
         self._worker = asyncio.get_running_loop().create_task(self._run())
         self._worker.add_done_callback(self._on_worker_done)
@@ -105,8 +99,8 @@ class MicroBatcher:
         """
         if self._closed:
             raise Backpressure("batcher is closed")
-        if self._queue.qsize() + 1 > self.max_queue:
-            self._reject(1, f"depth {self._queue.qsize()}/{self.max_queue}")
+        if self._queue.full():
+            self._reject(1, f"depth {self._queue.qsize()}/{MAX_QUEUE}")
         return await self._enqueue(op, u, v)
 
     async def submit_batch(self, updates: list[tuple[str, int, int]]) -> list[dict]:
@@ -119,11 +113,11 @@ class MicroBatcher:
         """
         if self._closed:
             raise Backpressure("batcher is closed")
-        if self._queue.qsize() + len(updates) > self.max_queue:
+        if self._queue.qsize() + len(updates) > MAX_QUEUE:
             self._reject(
                 len(updates),
                 f"batch of {len(updates)} vs depth "
-                f"{self._queue.qsize()}/{self.max_queue}",
+                f"{self._queue.qsize()}/{MAX_QUEUE}",
             )
         futures = [self._enqueue(op, u, v) for op, u, v in updates]
         outcomes: list[dict] = []
@@ -139,7 +133,7 @@ class MicroBatcher:
         while True:
             first = await self._queue.get()
             batch = [first]
-            while len(batch) < self.max_batch:
+            while len(batch) < MAX_BATCH:
                 try:
                     batch.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:

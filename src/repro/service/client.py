@@ -1,13 +1,10 @@
 """Client library for the dynamic-matching server.
 
-Two layers:
-
-* :class:`AsyncServiceClient` — asyncio streams, one request/response
-  per :meth:`~AsyncServiceClient.call`.
-* :class:`ServiceClient` — the synchronous wrapper most callers want:
-  it owns a private event loop and drives the async client under the
-  hood, so scripts, tests, and the load generator need no asyncio of
-  their own.
+:class:`ServiceClient` is a blocking client over one TCP connection:
+each :meth:`~ServiceClient.call` writes one request line and reads one
+response line, so scripts, tests, and the load generator need no
+asyncio of their own.  A response line may be any length (a
+``snapshot`` or ``shard_stats`` reply grows with the session).
 
 Failures come back as :class:`ServiceError` carrying the server's
 stable error code (``backpressure``, ``bad-update``, …), so callers
@@ -16,8 +13,8 @@ can branch on ``exc.code`` rather than parsing messages.
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.service.protocol import encode
@@ -47,61 +44,8 @@ class ServiceError(RuntimeError):
         self.response = response
 
 
-class AsyncServiceClient:
-    """Asyncio client speaking ``repro-service-v1`` over one connection."""
-
-    def __init__(self, host: str, port: int) -> None:
-        """Record the server address; call :meth:`connect` before use."""
-        self.host = host
-        self.port = port
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-
-    async def connect(self) -> None:
-        """Open the TCP connection."""
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
-        )
-
-    async def call(self, request: dict, check: bool = True) -> dict:
-        """Send one request and await its response.
-
-        With ``check`` (the default), an ``ok: false`` response raises
-        :class:`ServiceError`; pass ``check=False`` to receive the raw
-        envelope instead.
-        """
-        if self._reader is None or self._writer is None:
-            raise RuntimeError("client is not connected; call connect() first")
-        self._writer.write(encode(request))
-        await self._writer.drain()
-        line = await self._reader.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        response = json.loads(line)
-        if check and not response.get("ok", False):
-            raise ServiceError(response)
-        return response
-
-    async def close(self) -> None:
-        """Close the connection (idempotent).
-
-        The streams are unregistered *before* the close is awaited, so a
-        concurrent :meth:`call` (or a second ``close``) interleaving at
-        the ``wait_closed`` suspension point sees "not connected" rather
-        than racing a half-closed writer.
-        """
-        writer = self._writer
-        self._reader = self._writer = None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
-
-
 class ServiceClient:
-    """Synchronous client: a blocking facade over the async client.
+    """Blocking client speaking ``repro-service-v1`` over one connection.
 
     Parameters
     ----------
@@ -121,16 +65,25 @@ class ServiceClient:
 
     def __init__(self, host: str, port: int) -> None:
         """Connect to the server at ``host:port``."""
-        self._loop = asyncio.new_event_loop()
-        self._async = AsyncServiceClient(host, port)
-        self._run(self._async.connect())
-
-    def _run(self, coroutine):
-        return self._loop.run_until_complete(coroutine)
+        self._socket = socket.create_connection((host, port))
+        self._socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._reader = self._socket.makefile("rb")
 
     def call(self, request: dict, check: bool = True) -> dict:
-        """Send one raw request dict; see :meth:`AsyncServiceClient.call`."""
-        return self._run(self._async.call(request, check=check))
+        """Send one request and return its response.
+
+        With ``check`` (the default), an ``ok: false`` response raises
+        :class:`ServiceError`; pass ``check=False`` to receive the raw
+        envelope instead.
+        """
+        self._socket.sendall(encode(request))
+        line = self._reader.readline()
+        if not line:
+            raise ConnectionError("server closed the connection")
+        response = json.loads(line)
+        if check and not response.get("ok", False):
+            raise ServiceError(response)
+        return response
 
     # ------------------------------------------------------------------ #
     # Op conveniences                                                    #
@@ -227,9 +180,9 @@ class ServiceClient:
         return self.call({"op": "shutdown"})
 
     def close(self) -> None:
-        """Close the connection and the private event loop."""
-        self._run(self._async.close())
-        self._loop.close()
+        """Close the connection (idempotent)."""
+        self._reader.close()
+        self._socket.close()
 
     def __enter__(self) -> "ServiceClient":
         """Context-manager entry (connection already open)."""

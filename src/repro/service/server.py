@@ -7,8 +7,9 @@ becomes its own task and responses are written back *in request order*,
 so a pipelining client can keep many updates in flight — which is what
 lets the per-session :class:`~repro.service.batching.MicroBatcher`
 coalesce them into bounded batches even from a single connection.
-In-flight requests per connection are capped at ``max_inflight``;
-beyond that the server stops reading the socket until responses drain.
+In-flight requests per connection are capped at
+:data:`~repro.service.transport.MAX_INFLIGHT`; beyond that the server
+stops reading the socket until responses drain.
 
 Responses echo the request's optional ``id`` field verbatim for client
 correlation.  Unknown session names, malformed requests, rejected
@@ -46,6 +47,7 @@ from repro.service.protocol import (
 from repro.service.session import Session, UpdateError, validate_session_params
 from repro.service.transport import BackgroundServer as BackgroundServer
 from repro.service.transport import (
+    MAX_INFLIGHT,
     _run_service_loop,
     _shutdown_on_signals,
     pipe_connection,
@@ -60,40 +62,22 @@ class MatchingService:
     journal_dir:
         Directory for per-session replay journals
         (``<journal_dir>/<session>.jsonl``); ``None`` disables journaling.
-    max_batch:
-        Micro-batch bound handed to every session's batcher.
-    max_queue:
-        Queue bound (backpressure threshold) per session.
-    budget_ms:
-        Default per-update latency budget for session metrics.
     allow_shutdown:
         Whether the ``shutdown`` op is honored (CI and benchmarks turn
         this on; a long-lived server should not).
-    max_inflight:
-        Per-connection pipelining bound: at most this many requests may
-        be awaiting a response on one connection before the server
-        stops reading from its socket (TCP backpressure), so a fast
-        client cannot grow server memory without bound.
+
+    Sessions that do not name a ``budget_ms`` get
+    :data:`~repro.service.metrics.DEFAULT_BUDGET_MS`.
     """
 
     def __init__(
         self,
         journal_dir: str | Path | None = None,
-        max_batch: int = 32,
-        max_queue: int = 1024,
-        budget_ms: float = DEFAULT_BUDGET_MS,
         allow_shutdown: bool = False,
-        max_inflight: int = 256,
     ) -> None:
         """Configure the service; no sockets are touched until served."""
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
-        self.max_batch = max_batch
-        self.max_queue = max_queue
-        self.budget_ms = budget_ms
         self.allow_shutdown = allow_shutdown
-        self.max_inflight = max_inflight
         self.sessions: dict[str, Session] = {}
         self.batchers: dict[str, MicroBatcher] = {}
         self._shutdown = asyncio.Event()
@@ -139,7 +123,7 @@ class MatchingService:
         epsilon = float(request["epsilon"])
         backend = request.get("backend", "lazy_rebuild")
         seed = request.get("seed")
-        budget_ms = request.get("budget_ms", self.budget_ms)
+        budget_ms = request.get("budget_ms", DEFAULT_BUDGET_MS)
         # Validate everything *before* opening the journal: constructing
         # a ReplayJournal truncates any existing journal of this name,
         # which a doomed create must never do.
@@ -183,9 +167,7 @@ class MatchingService:
                 journal.path.unlink(missing_ok=True)
             raise
         self.sessions[name] = session
-        self.batchers[name] = MicroBatcher(
-            session, max_batch=self.max_batch, max_queue=self.max_queue
-        )
+        self.batchers[name] = MicroBatcher(session)
         return ok_response(
             created=name,
             backend=session.backend,
@@ -294,7 +276,7 @@ class MatchingService:
             "latency": {
                 "samples_sorted_ms": samples,
                 "over_budget": over_budget,
-                "budget_ms": self.budget_ms,
+                "budget_ms": DEFAULT_BUDGET_MS,
             },
             "queue": {"depth": queue_depth, "max_depth": max_queue_depth},
         }
@@ -328,9 +310,7 @@ class MatchingService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """Serve one client connection (in-order pipelined responses)."""
-        await pipe_connection(
-            reader, writer, self._respond_bytes, self.max_inflight
-        )
+        await pipe_connection(reader, writer, self._respond_bytes, MAX_INFLIGHT)
 
     async def close_all(self) -> None:
         """Drain every batcher and close every session (and journal).
@@ -384,11 +364,7 @@ def run_server(
     host: str = "127.0.0.1",
     port: int = 8765,
     journal_dir: str | Path | None = None,
-    max_batch: int = 32,
-    max_queue: int = 1024,
-    budget_ms: float = DEFAULT_BUDGET_MS,
     allow_shutdown: bool = False,
-    max_inflight: int = 256,
 ) -> int:
     """Blocking entry point for ``repro-experiments serve``.
 
@@ -400,14 +376,7 @@ def run_server(
     cluster supervisor stop shard workers without losing journaled
     updates.
     """
-    service = MatchingService(
-        journal_dir=journal_dir,
-        max_batch=max_batch,
-        max_queue=max_queue,
-        budget_ms=budget_ms,
-        allow_shutdown=allow_shutdown,
-        max_inflight=max_inflight,
-    )
+    service = MatchingService(journal_dir, allow_shutdown)
 
     async def main() -> None:
         with _shutdown_on_signals(service.request_shutdown):

@@ -23,9 +23,16 @@ import asyncio
 import contextlib
 import signal
 import threading
+from pathlib import Path
 from typing import Awaitable, Callable
 
 _EOF = object()
+
+#: Per-connection pipelining bound: at most this many requests may await
+#: a response on one connection before the server stops reading its
+#: socket (TCP backpressure), so a fast client cannot grow server
+#: memory without bound.
+MAX_INFLIGHT = 256
 
 
 async def pipe_connection(
@@ -46,7 +53,7 @@ async def pipe_connection(
     Shared by :class:`~repro.service.server.MatchingService` and the
     :class:`repro.cluster.router.ClusterRouter` front-end — the two
     speak the same wire protocol and need the same transport
-    discipline.
+    discipline; both pass :data:`MAX_INFLIGHT`.
     """
     loop = asyncio.get_running_loop()
     # The semaphore admits at most max_inflight response tasks, so
@@ -174,12 +181,12 @@ class BackgroundServer:
     port: int | None = None
     _loop: asyncio.AbstractEventLoop | None = None
 
-    def __init__(self, **config) -> None:
-        """Build a :class:`MatchingService` from ``config``."""
+    def __init__(self, journal_dir: str | Path | None = None,
+                 allow_shutdown: bool = True) -> None:
+        """Build the :class:`MatchingService` to serve."""
         from repro.service.server import MatchingService
 
-        config.setdefault("allow_shutdown", True)
-        self.service = MatchingService(**config)
+        self.service = MatchingService(journal_dir, allow_shutdown)
 
     def _run(self) -> None:
         async def main() -> None:

@@ -24,6 +24,8 @@ from repro.service.server import MatchingService
 
 pytestmark = pytest.mark.fast
 
+#: The server-wide budget every shard reports (6.0.0's default, fixed
+#: since 7.0.0).
 BUDGET_MS = 50.0
 #: (session, shard) placement: three sessions on shard 0, two on shard 1.
 SESSIONS = (("a", 0), ("b", 0), ("c", 0), ("d", 1), ("e", 1))
@@ -80,7 +82,7 @@ def _shard_stats_v600(service: MatchingService) -> dict:
         "latency": {
             "samples_sorted_ms": [round(s, 4) for s in samples],
             "over_budget": over_budget,
-            "budget_ms": service.budget_ms,
+            "budget_ms": BUDGET_MS,
         },
         "queue": {"depth": queue_depth, "max_depth": max_queue_depth},
     }
@@ -112,8 +114,7 @@ def _services():
     async def build():
         pairs = []
         for _ in range(2):
-            pairs.append((MatchingService(budget_ms=BUDGET_MS),
-                          MatchingService(budget_ms=BUDGET_MS)))
+            pairs.append((MatchingService(), MatchingService()))
         for name, shard in SESSIONS:
             for service in pairs[shard]:
                 await service.handle_request({

@@ -1,9 +1,13 @@
 """Worker lifecycle: spawn, announce, health, journal layout, stop."""
 
 import signal
+import subprocess
+import sys
+import types
 
 import pytest
 
+from repro.cluster import supervisor as supervisor_module
 from repro.cluster.supervisor import (
     _ANNOUNCE_RE,
     ClusterSupervisor,
@@ -29,6 +33,23 @@ class TestAnnounceParsing:
     def test_rejects_empty_cluster(self):
         with pytest.raises(ValueError):
             ClusterSupervisor(shards=0)
+
+    @pytest.mark.fast
+    def test_worker_command_carries_no_tuning_flag(self, tmp_path,
+                                                   monkeypatch):
+        commands = []
+        monkeypatch.setattr(supervisor_module, "subprocess",
+                            types.SimpleNamespace(
+                                Popen=lambda command, **_: commands.append(
+                                    command),
+                                PIPE=subprocess.PIPE,
+                                TimeoutExpired=subprocess.TimeoutExpired))
+        ClusterSupervisor(shards=1, journal_dir=tmp_path)._spawn(0)
+        assert commands == [[
+            sys.executable, "-m", "repro.cli", "serve",
+            "--host", "127.0.0.1", "--port", "0",
+            "--journal-dir", str(tmp_path / "shard-0"),
+        ]]
 
 
 class TestLifecycle:

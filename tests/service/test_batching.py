@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro.service import batching
 from repro.service.batching import Backpressure, MicroBatcher
 from repro.service.session import Session, UpdateError
 
@@ -64,15 +65,6 @@ class TestSubmit:
         with pytest.raises(RuntimeError):
             MicroBatcher(make_session())
 
-    def test_bad_bounds(self):
-        async def scenario():
-            with pytest.raises(ValueError):
-                MicroBatcher(make_session(), max_batch=0)
-            with pytest.raises(ValueError):
-                MicroBatcher(make_session(), max_queue=0)
-
-        run(scenario())
-
 
 class TestWorkerRobustness:
     def test_internal_error_fails_future_but_not_worker(self):
@@ -126,12 +118,14 @@ class TestWorkerRobustness:
             await batcher.close()  # idempotent, no hang
 
         run(scenario())
-    def test_coalescing_into_bounded_batches(self):
+    def test_coalescing_into_bounded_batches(self, monkeypatch):
         # submit_batch enqueues synchronously, so the worker sees all ten
         # updates at once and must split them into ceil(10/4) = 3 batches.
+        monkeypatch.setattr(batching, "MAX_BATCH", 4)
+
         async def scenario():
             session = make_session()
-            batcher = MicroBatcher(session, max_batch=4)
+            batcher = MicroBatcher(session)
             updates = [("insert", 2 * i, 2 * i + 1) for i in range(8)]
             updates += [("delete", 0, 1), ("insert", 0, 1)]
             outcomes = await batcher.submit_batch(updates)
@@ -166,10 +160,12 @@ class TestWorkerRobustness:
         assert session.matcher.graph.has_edge(0, 1)
         assert session.matcher.graph.has_edge(2, 3)
 
-    def test_batch_admission_is_all_or_nothing(self):
+    def test_batch_admission_is_all_or_nothing(self, monkeypatch):
+        monkeypatch.setattr(batching, "MAX_QUEUE", 4)
+
         async def scenario():
             session = make_session()
-            batcher = MicroBatcher(session, max_queue=4)
+            batcher = MicroBatcher(session)
             updates = [("insert", 2 * i, 2 * i + 1) for i in range(6)]
             with pytest.raises(Backpressure):
                 await batcher.submit_batch(updates)
@@ -181,10 +177,12 @@ class TestWorkerRobustness:
         assert session.seq == 0
         assert session.metrics.counters.value("rejected_over_budget") == 6
 
-    def test_updates_applied_in_submission_order(self):
+    def test_updates_applied_in_submission_order(self, monkeypatch):
+        monkeypatch.setattr(batching, "MAX_BATCH", 3)
+
         async def scenario():
             session = make_session()
-            batcher = MicroBatcher(session, max_batch=3)
+            batcher = MicroBatcher(session)
             outcomes = await batcher.submit_batch([
                 ("insert", 0, 1), ("delete", 0, 1), ("insert", 0, 1),
                 ("delete", 0, 1), ("insert", 0, 1),

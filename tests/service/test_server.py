@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from repro.service import batching
+from repro.service import server as server_module
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import PROTOCOL
 from repro.service.server import BackgroundServer, MatchingService
@@ -198,8 +200,9 @@ class TestErrorCodes:
         assert update["ok"] is False
         assert update["error"] == "no-such-session"
 
-    def test_backpressure_error_code(self, tmp_path):
-        with BackgroundServer(max_queue=4) as srv:
+    def test_backpressure_error_code(self, monkeypatch):
+        monkeypatch.setattr(batching, "MAX_QUEUE", 4)
+        with BackgroundServer() as srv:
             with ServiceClient(srv.host, srv.port) as cli:
                 cli.create("s", num_vertices=32, beta=1, epsilon=0.4, seed=0)
                 updates = [("insert", 2 * i, 2 * i + 1) for i in range(8)]
@@ -259,11 +262,14 @@ class TestWireLevel:
         # Pipelining actually coalesced: fewer batches than updates.
         assert stats["counters"]["batches"] <= stats["counters"]["updates"]
 
-    def test_pipelining_beyond_max_inflight_still_answers_all(self):
+    def test_pipelining_beyond_max_inflight_still_answers_all(
+        self, monkeypatch
+    ):
         # Far more pipelined requests than the inflight cap: the server
         # pauses reading rather than dropping or deadlocking, so every
         # request is still answered, in order.
-        with BackgroundServer(max_inflight=4) as srv:
+        monkeypatch.setattr(server_module, "MAX_INFLIGHT", 4)
+        with BackgroundServer() as srv:
             with ServiceClient(srv.host, srv.port) as cli:
                 cli.create("s", num_vertices=64, beta=1, epsilon=0.4, seed=0)
             requests = [
@@ -277,6 +283,22 @@ class TestWireLevel:
             responses = self.run_raw(srv, payloads)
             assert [r["id"] for r in responses] == list(range(24))
             assert all(r["ok"] for r in responses)
+
+
+    def test_snapshot_reply_over_64_kib_round_trips(self, client):
+        # asyncio's default stream limit is 64 KiB a line; the blocking
+        # client must read a reply of any length.
+        n = 120
+        client.create("big", num_vertices=n, beta=1, epsilon=0.5, seed=0,
+                      backend="baseline", journal=False)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for start in range(0, len(edges), 1000):
+            client.batch("big", [("insert", u, v)
+                                 for u, v in edges[start:start + 1000]])
+        snapshot = client.snapshot("big")
+        assert len(json.dumps(snapshot)) > 64 * 1024
+        assert len(snapshot["graph_edges"]) == len(edges)
+        assert client.ping()["protocol"] == PROTOCOL
 
 
 class TestConnectionLoop:
@@ -317,8 +339,8 @@ class TestConnectionLoop:
         async def wait_closed(self):
             self.wait_closed_called = True
 
-    def serve_lines(self, lines, writer, **config):
-        service = MatchingService(**config)
+    def serve_lines(self, lines, writer):
+        service = MatchingService()
 
         async def scenario():
             await service.handle_connection(self.FakeReader(lines), writer)
@@ -338,7 +360,7 @@ class TestConnectionLoop:
         assert [r["id"] for r in responses] == list(range(5))
         assert writer.closed and writer.wait_closed_called
 
-    def test_writer_failure_propagates_after_cleanup(self):
+    def test_writer_failure_propagates_after_cleanup(self, monkeypatch):
         # A non-transport writer exception must surface (it is a bug,
         # not client churn) — but only after the connection is closed
         # and the reader loop has been woken off the semaphore.
@@ -347,9 +369,10 @@ class TestConnectionLoop:
             for i in range(8)
         ]
         writer = self.FakeWriter(fail_on_drain=1)
+        monkeypatch.setattr(server_module, "MAX_INFLIGHT", 1)
 
         async def scenario():
-            service = MatchingService(max_inflight=1)
+            service = MatchingService()
             await service.handle_connection(self.FakeReader(lines), writer)
 
         with pytest.raises(RuntimeError, match="injected writer failure"):
@@ -370,7 +393,9 @@ class TestConnectionLoop:
         assert len(responses) >= 1
         assert writer.closed and writer.wait_closed_called
 
-    def test_semaphore_wakeup_bounds_reader_after_writer_death(self):
+    def test_semaphore_wakeup_bounds_reader_after_writer_death(
+        self, monkeypatch
+    ):
         # With the writer dead, the reader must exit promptly instead
         # of consuming the socket forever: at most one extra line is
         # read after the failure (the acquire it was already parked on).
@@ -380,9 +405,10 @@ class TestConnectionLoop:
         ]
         reader = self.FakeReader(lines)
         writer = self.FakeWriter(fail_on_drain=1)
+        monkeypatch.setattr(server_module, "MAX_INFLIGHT", 2)
 
         async def scenario():
-            service = MatchingService(max_inflight=2)
+            service = MatchingService()
             await service.handle_connection(reader, writer)
 
         with pytest.raises(RuntimeError):

@@ -55,7 +55,9 @@ def test_doctest_module_examples():
         assert failures == 0
 
 
-FACADES = ["repro", "repro.service", "repro.cluster", "repro.instrument"]
+FACADES = ["repro", "repro.core", "repro.matching", "repro.graphs",
+           "repro.dynamic", "repro.service", "repro.cluster",
+           "repro.instrument"]
 
 
 @pytest.mark.parametrize("package", FACADES)
@@ -92,9 +94,11 @@ class TestLazyFacades:
     def test_submodules_still_import_through_the_facade(self, package):
         facade = importlib.import_module(package)
         prefix = package + "."
+        # A submodule named like one of its exports (``hopcroft_karp``)
+        # resolves to the export, as under the eager re-export blocks.
         children = {module[len(prefix):].split(".")[0]
                     for module in facade._EXPORTS.values()
-                    if module.startswith(prefix)}
+                    if module.startswith(prefix)} - set(facade._EXPORTS)
         for name in sorted(children):
             namespace: dict = {}
             exec(f"from {package} import {name} as bound", namespace)

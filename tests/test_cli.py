@@ -1,5 +1,7 @@
 """Tests for the repro-experiments CLI."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -40,3 +42,37 @@ class TestCli:
         assert main(["e4", "--output", str(tmp_path / "results")]) == 0
         assert (tmp_path / "results" / "e4.json").exists()
         assert (tmp_path / "results" / "e4.csv").exists()
+
+
+class TestServe:
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Record the servers ``serve`` would start instead of starting them."""
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs))
+            return 0
+
+        monkeypatch.setattr("repro.service.server.run_server", record)
+        monkeypatch.setattr("repro.cluster.runner.run_cluster", record)
+        return calls
+
+    def test_help_lists_five_options(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--help"])
+        assert excinfo.value.code == 0
+        options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert options == {"--help", "--host", "--port", "--journal-dir",
+                           "--allow-shutdown", "--shards"}
+
+    @pytest.mark.parametrize("flag", ["--max-batch", "--max-queue",
+                                      "--max-inflight", "--budget-ms",
+                                      "--window"])
+    def test_retired_tuning_flags_are_usage_errors(self, flag, started,
+                                                   capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", flag, "8"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert started == []
