@@ -81,6 +81,59 @@ def merge_latency(
     }
 
 
+class SampleMirror:
+    """One shard's latency samples as last received, per session.
+
+    ``sessions`` maps a recorder uid (the wire string) to the samples
+    received from it, sorted ascending.  :meth:`request` asks the shard
+    for what is new; :meth:`fold` takes the cursor-form reply in and
+    returns the full-form ``shard_stats`` payload the shard would have
+    sent, samples included.  Polls must fold one at a time, in the
+    order they were sent: each ``since`` names the counts held when it
+    was built.
+    """
+
+    def __init__(self) -> None:
+        """Start cold: the first poll fetches every sample."""
+        self.sessions: dict[str, list[float]] = {}
+
+    def request(self) -> dict:
+        """The cursor-form ``shard_stats`` request for this shard."""
+        return {"op": "shard_stats",
+                "since": {uid: len(samples)
+                          for uid, samples in self.sessions.items()}}
+
+    def fold(self, reply: dict) -> dict:
+        """Fold a cursor-form reply in; return the full-form payload.
+
+        A session missing from the reply was closed, so its samples are
+        dropped; a ``start`` of 0 restarts a session's samples.  A reply
+        without ``latency.tails`` (not a cursor-form answer) empties the
+        mirror and passes through unchanged.
+        """
+        latency = reply.get("latency")
+        if not isinstance(latency, dict) or "tails" not in latency:
+            self.sessions = {}
+            return reply
+        held, self.sessions = self.sessions, {}
+        for uid, (start, tail) in latency["tails"].items():
+            samples = held.get(uid, []) if start else []
+            if start != len(samples):
+                raise ValueError(
+                    f"shard_stats tail of {uid} starts at {start}, "
+                    f"but {len(samples)} samples are held"
+                )
+            if tail:
+                samples += tail
+                samples.sort()
+            self.sessions[uid] = samples
+        full = {key: value for key, value in latency.items()
+                if key != "tails"}
+        full["samples_sorted_ms"] = merge_sorted_samples(
+            list(self.sessions.values()))
+        return {**reply, "latency": full}
+
+
 def aggregate_cluster_stats(per_shard: Sequence[Mapping]) -> dict:
     """Fold per-shard ``shard_stats`` payloads into the cluster view.
 

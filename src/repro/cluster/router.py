@@ -14,7 +14,10 @@ unchanged against a cluster.  Per request:
 * **cluster ops** (``ping``, ``sessions``, ``shard_stats``,
   ``cluster_stats``, ``shutdown``) are answered by the router itself,
   fanning out to every shard where needed and merging
-  (:func:`repro.cluster.metrics.aggregate_cluster_stats`).
+  (:func:`repro.cluster.metrics.aggregate_cluster_stats`).  For the two
+  stats ops the router keeps a :class:`~repro.cluster.metrics.SampleMirror`
+  per shard, so a poll ships only the latency samples recorded since
+  the previous one; the replies are the ones a full fetch would give.
 
 Determinism is preserved by construction: a session's updates all flow
 through one shard link (placement is a pure function of the name) and
@@ -73,6 +76,10 @@ class ClusterRouter:
         ]
         self.allow_shutdown = allow_shutdown
         self._shutdown = asyncio.Event()
+        self._mirrors = [cluster_metrics.SampleMirror() for _ in self.links]
+        # Stats polls fold into the mirrors one at a time (see
+        # SampleMirror): each poll's cursors name what it held when sent.
+        self._stats_lock = asyncio.Lock()
 
     @property
     def num_shards(self) -> int:
@@ -91,10 +98,11 @@ class ClusterRouter:
         """The home shard link of ``session`` (pure placement)."""
         return self.links[place(session, self.num_shards)]
 
-    async def _fan_out(self, request: dict) -> list[dict | ShardError]:
-        """Send ``request`` to every shard; per-shard result or error."""
+    async def _fan_out(self, requests: list[dict]) -> list[dict | ShardError]:
+        """Send ``requests[k]`` to shard ``k``; per-shard result or error."""
         outcomes = await asyncio.gather(
-            *(link.call(dict(request)) for link in self.links),
+            *(link.call(request)
+              for link, request in zip(self.links, requests)),
             return_exceptions=True,
         )
         results: list[dict | ShardError] = []
@@ -126,14 +134,15 @@ class ClusterRouter:
             self._shutdown.set()
             return ok_response(shutting_down=True, shards=self.num_shards)
         if op == "sessions":
-            fanned = await self._fan_out({"op": "sessions"})
+            fanned = await self._fan_out(
+                [{"op": "sessions"} for _ in self.links])
             names: list[str] = []
             for outcome in fanned:
                 if isinstance(outcome, dict):
                     names.extend(outcome.get("sessions", ()))
             return ok_response(sessions=sorted(names))
         if op in ("shard_stats", "cluster_stats"):
-            fanned = await self._fan_out({"op": "shard_stats"})
+            fanned = await self._poll_shard_stats()
             shards = [outcome for outcome in fanned if isinstance(outcome, dict)]
             unreachable = [shard_id for shard_id, outcome in enumerate(fanned)
                            if not isinstance(outcome, dict)]
@@ -149,6 +158,19 @@ class ClusterRouter:
             merged["unreachable"] = unreachable
             return ok_response(**merged)
         raise ProtocolError("unknown-op", f"unhandled cluster op {op!r}")
+
+    async def _poll_shard_stats(self) -> list[dict | ShardError]:
+        """Every shard's full-form ``shard_stats`` payload, or its error.
+
+        Each shard ships only the samples its mirror lacks; the mirror
+        rebuilds the rest.
+        """
+        async with self._stats_lock:
+            fanned = await self._fan_out(
+                [mirror.request() for mirror in self._mirrors])
+            return [mirror.fold(outcome) if isinstance(outcome, dict)
+                    else outcome
+                    for mirror, outcome in zip(self._mirrors, fanned)]
 
     async def _respond(self, line: str) -> bytes:
         """Route or answer one raw request line; returns the response line."""

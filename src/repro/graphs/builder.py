@@ -40,8 +40,15 @@ def validate_edge_list(edges: EdgeList, num_vertices: int) -> np.ndarray:
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
     if num_vertices and num_vertices < 3_000_000_000:
-        # Composite-key dedup: ~10x faster than np.unique(axis=0).
-        key = np.unique(lo * np.int64(num_vertices) + hi)
+        # Composite-key dedup: ~10x faster than np.unique(axis=0).  The
+        # sort and adjacent-difference mask are what np.unique does on a
+        # 1-D key, without its lazy import of numpy.ma (~10 ms inside
+        # the first request a server builds a graph for).
+        key = np.sort(lo * np.int64(num_vertices) + hi)
+        keep = np.empty(key.shape, dtype=bool)
+        keep[0] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
         return np.column_stack((key // num_vertices, key % num_vertices))
     return np.unique(np.column_stack((lo, hi)), axis=0)
 

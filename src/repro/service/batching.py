@@ -17,7 +17,9 @@ does not fit is rejected *immediately* with :class:`Backpressure`
 (surfaced to the client as the ``backpressure`` error code) and
 counted in ``rejected_over_budget``.  Batch submissions are
 all-or-nothing: a batch only enters the queue if every update fits,
-so a client never observes a half-applied batch admission.
+so a client never observes a half-applied batch admission.  A batch
+larger than the whole queue could never fit, so it is refused as
+``bad-request`` rather than as a retryable ``backpressure``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import asyncio
 from contextlib import suppress
 
 from repro.instrument.timers import now
+from repro.service.protocol import ProtocolError
 from repro.service.session import Session, UpdateError
 
 #: Largest number of queued updates one worker turn applies back-to-back.
@@ -107,12 +110,21 @@ class MicroBatcher:
         """Queue many updates atomically; return per-update outcomes.
 
         Admission is all-or-nothing (the whole batch is rejected when
-        it does not fit).  Each returned element is either the applied
-        record or ``{"error": code, "message": ...}`` — one bad update
-        does not poison its batch-mates.
+        it does not fit).  A batch of more than :data:`MAX_QUEUE`
+        updates raises :class:`~repro.service.protocol.ProtocolError`
+        (``bad-request``): no wait would admit it.  Each returned
+        element is either the applied record or
+        ``{"error": code, "message": ...}`` — one bad update does not
+        poison its batch-mates.
         """
         if self._closed:
             raise Backpressure("batcher is closed")
+        if len(updates) > MAX_QUEUE:
+            raise ProtocolError(
+                "bad-request",
+                f"a batch holds at most {MAX_QUEUE} updates (the session "
+                f"queue bound), got {len(updates)}; split it",
+            )
         if self._queue.qsize() + len(updates) > MAX_QUEUE:
             self._reject(
                 len(updates),

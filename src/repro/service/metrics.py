@@ -18,6 +18,7 @@ percentiles are judged against comes in two forms:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 from repro.instrument.counters import CounterSet
 
@@ -52,6 +53,10 @@ def percentile_sorted(ordered: list[float], q: float) -> float:
     return ordered[min(rank, len(ordered)) - 1]
 
 
+#: Source of :attr:`LatencyRecorder.uid`: unique within the process.
+_RECORDER_UIDS = count(1)
+
+
 @dataclass
 class LatencyRecorder:
     """Collects per-update latency samples against a budget.
@@ -69,17 +74,26 @@ class LatencyRecorder:
     budget_ms:
         The configured per-update latency budget in milliseconds.
     samples_ms:
-        All recorded samples (milliseconds, rounded to 1e-4 ms).
-        Bounded workloads only; the service records one sample per
-        applied update.  Their order is not part of the contract: reads
-        sort the list in place.
+        All recorded samples (milliseconds, rounded to 1e-4 ms), in
+        record order and append-only: a reader that has seen the first
+        ``k`` samples catches up with ``samples_ms[k:]`` (the cursor
+        form of ``shard_stats``).  Bounded workloads only; the service
+        records one sample per applied update.
     over_budget:
         How many samples exceeded ``budget_ms``.
+    uid:
+        Unique within the process, so a cursor held for one recorder is
+        never applied to another (a session closed and re-created under
+        the same name gets a new recorder, and its cursor starts over).
     """
 
     budget_ms: float = DEFAULT_BUDGET_MS
     samples_ms: list[float] = field(default_factory=list)
     over_budget: int = 0
+    uid: int = field(default_factory=lambda: next(_RECORDER_UIDS),
+                     init=False, compare=False)
+    _ordered: list[float] = field(default_factory=list, init=False,
+                                  repr=False, compare=False)
 
     def record(self, seconds: float) -> None:
         """Record one latency sample given in seconds."""
@@ -89,14 +103,17 @@ class LatencyRecorder:
             self.over_budget += 1
 
     def sorted_ms(self) -> list[float]:
-        """The samples in ascending order (the live list; do not mutate).
+        """The samples in ascending order (a live view; do not mutate).
 
-        Sorts ``samples_ms`` in place: the prefix sorted by the previous
-        read is one run to timsort, so a read costs O(n) plus sorting
-        the samples recorded since.
+        The view is kept next to ``samples_ms`` and extended on read:
+        the prefix sorted by the previous read is one run to timsort,
+        so a read costs O(n) plus sorting the samples recorded since.
         """
-        self.samples_ms.sort()
-        return self.samples_ms
+        ordered = self._ordered
+        if len(ordered) < len(self.samples_ms):
+            ordered += self.samples_ms[len(ordered):]
+            ordered.sort()
+        return ordered
 
     def snapshot(self) -> dict:
         """Percentile summary: count, p50/p95/p99/max ms, budget, misses."""

@@ -42,6 +42,9 @@ Ops
     live session, the union of latency samples *sorted ascending*
     (the mergeable form — cluster aggregation unions sorted sample
     lists instead of averaging percentiles), and queue gauges.
+    Optional ``since`` = ``{uid: count}`` asks for the cursor form:
+    each live session's samples past ``count``, in record order,
+    under ``latency.tails`` (the cluster router's mirror polls so).
 ``cluster_stats``
     Cluster-wide aggregate.  A plain server answers for itself as a
     single-shard cluster; the :mod:`repro.cluster` router fans
@@ -168,6 +171,16 @@ def parse_request(line: str) -> dict:
             f"invalid session name {name!r}: must match "
             f"{SESSION_NAME_RE.pattern}",
         )
+    if op == "shard_stats" and "since" in request:
+        since = request["since"]
+        if not isinstance(since, dict) or not all(
+                _type_ok(count, int) and count >= 0
+                for count in since.values()):
+            raise ProtocolError(
+                "bad-request",
+                "field 'since' of op 'shard_stats' must map recorder "
+                "uids to sample counts >= 0",
+            )
     if op == "batch":
         for i, item in enumerate(request["updates"]):
             if (not isinstance(item, (list, tuple)) or len(item) != 3

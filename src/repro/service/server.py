@@ -31,6 +31,7 @@ from __future__ import annotations
 import asyncio
 import sys
 from pathlib import Path
+from typing import Mapping
 
 from repro.cluster import metrics as cluster_metrics
 from repro.service import protocol
@@ -209,6 +210,8 @@ class MatchingService:
         if op == "sessions":
             return ok_response(sessions=sorted(self.sessions))
         if op == "shard_stats":
+            if "since" in request:
+                return ok_response(**self.shard_stats_since(request["since"]))
             return ok_response(**self.shard_stats_payload())
         if op == "cluster_stats":
             # A plain server is a cluster of one: answer with the same
@@ -251,33 +254,63 @@ class MatchingService:
         sorted list so a cluster aggregator can union them and take
         percentiles over the union — merging sorted per-shard lists is
         exact, averaging per-shard percentiles is not.  Samples are
-        rounded to 1e-4 ms when recorded and each session's list comes
-        back sorted
-        (:meth:`~repro.service.metrics.LatencyRecorder.sorted_ms`), so
-        the one sort here merges k sorted runs in C.
+        rounded to 1e-4 ms when recorded and each session's sorted view
+        (:meth:`~repro.service.metrics.LatencyRecorder.sorted_ms`) is
+        kept between reads, so the one sort here merges k sorted runs
+        in C.
         """
-        counters: dict[str, int] = {}
+        payload = self._shard_rollup()
         samples: list[float] = []
+        for name in sorted(self.sessions):
+            samples.extend(self.sessions[name].metrics.latency.sorted_ms())
+        samples.sort()
+        payload["latency"]["samples_sorted_ms"] = samples
+        return payload
+
+    def shard_stats_since(self, since: Mapping[str, int]) -> dict:
+        """The cursor form of :meth:`shard_stats_payload`.
+
+        ``since`` maps a recorder uid (as a string) to how many of its
+        samples the caller already holds.  Instead of
+        ``samples_sorted_ms`` the latency block carries ``tails``: for
+        each live session, ``{uid: [start, samples_ms[start:]]}`` in
+        record order, where ``start`` is the caller's count, or 0 when
+        the uid is unknown or the count exceeds the session's.  A
+        caller that holds every session's samples in order (the
+        cluster router's mirror) rebuilds the full form exactly from
+        them, at the cost of encoding only the samples recorded since
+        its last poll.
+        """
+        payload = self._shard_rollup()
+        tails: dict[str, list] = {}
+        for name in sorted(self.sessions):
+            latency = self.sessions[name].metrics.latency
+            uid = str(latency.uid)
+            start = since.get(uid, 0)
+            if start > len(latency.samples_ms):
+                start = 0
+            tails[uid] = [start, latency.samples_ms[start:]]
+        payload["latency"]["tails"] = tails
+        return payload
+
+    def _shard_rollup(self) -> dict:
+        """Everything of a ``shard_stats`` reply but the latency samples."""
+        counters: dict[str, int] = {}
         over_budget = 0
         queue_depth = 0
         max_queue_depth = 0
         for name in sorted(self.sessions):
-            session = self.sessions[name]
-            for counter, value in session.metrics.counters.snapshot().items():
+            metrics = self.sessions[name].metrics
+            for counter, value in metrics.counters.snapshot().items():
                 counters[counter] = counters.get(counter, 0) + value
-            samples.extend(session.metrics.latency.sorted_ms())
-            over_budget += session.metrics.latency.over_budget
-            queue_depth += session.metrics.queue_depth
-            max_queue_depth = max(max_queue_depth, session.metrics.max_queue_depth)
-        samples.sort()
+            over_budget += metrics.latency.over_budget
+            queue_depth += metrics.queue_depth
+            max_queue_depth = max(max_queue_depth, metrics.max_queue_depth)
         return {
             "sessions": sorted(self.sessions),
             "counters": counters,
-            "latency": {
-                "samples_sorted_ms": samples,
-                "over_budget": over_budget,
-                "budget_ms": DEFAULT_BUDGET_MS,
-            },
+            "latency": {"over_budget": over_budget,
+                        "budget_ms": DEFAULT_BUDGET_MS},
             "queue": {"depth": queue_depth, "max_depth": max_queue_depth},
         }
 

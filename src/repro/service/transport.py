@@ -26,7 +26,13 @@ import threading
 from pathlib import Path
 from typing import Awaitable, Callable
 
+from repro.service.protocol import encode, error_response
+
 _EOF = object()
+
+#: asyncio's stream limit, which ``asyncio.start_server`` applies to
+#: every connection: the longest request line a server reads.
+STREAM_LIMIT = 1 << 16
 
 #: Per-connection pipelining bound: at most this many requests may await
 #: a response on one connection before the server stops reading its
@@ -48,7 +54,9 @@ async def pipe_connection(
     bounded: once ``max_inflight`` requests are awaiting responses, the
     loop stops reading from the socket until responses drain, so a
     client that never reads cannot grow the outbox (or the per-request
-    task set) without limit.
+    task set) without limit.  A request line longer than
+    :data:`STREAM_LIMIT` gets a ``bad-request`` reply, after the replies
+    to the requests before it, and the connection is closed.
 
     Shared by :class:`~repro.service.server.MatchingService` and the
     :class:`repro.cluster.router.ClusterRouter` front-end — the two
@@ -80,7 +88,18 @@ async def pipe_connection(
             await inflight.acquire()
             if writer_task.done():
                 break
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError as exc:
+                # A line past the stream limit: refuse it (in order) and
+                # close.  readline() consumed it if its end was already
+                # buffered; otherwise ("Separator is not found") the
+                # rest is still to come.
+                outbox.put_nowait(loop.create_task(_refuse_long_line()))
+                outbox.put_nowait(_EOF)
+                if "not found" in str(exc):
+                    await _skip_line(reader)
+                break
             if not line:
                 outbox.put_nowait(_EOF)
                 break
@@ -106,6 +125,26 @@ async def pipe_connection(
             # stream callback from logging a spurious traceback.
             pass
 
+
+
+async def _refuse_long_line() -> bytes:
+    return encode(error_response(
+        "bad-request",
+        f"request line longer than the {STREAM_LIMIT // 1024} KiB stream "
+        "limit; closing the connection",
+    ))
+
+
+async def _skip_line(reader: asyncio.StreamReader) -> None:
+    """Discard input up to the end of the current line (or EOF).
+
+    Closing a socket with unread input resets the connection, and the
+    reset can reach the client before it has read the refusal.
+    """
+    while True:
+        chunk = await reader.read(STREAM_LIMIT)
+        if not chunk or b"\n" in chunk:
+            return
 
 
 @contextlib.contextmanager

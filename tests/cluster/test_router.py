@@ -2,8 +2,8 @@
 
 These spawn real shard worker processes (no ``fast`` marker); the
 happy-path tests share one module-scoped cluster to amortize startup.
-The over-limit reply test runs the router against in-loop fake shards
-and is ``fast``.
+The over-limit reply test runs the router against in-loop fake shards,
+the long request line test against in-loop shards; both are ``fast``.
 """
 
 import asyncio
@@ -17,7 +17,7 @@ from repro.cluster.router import ClusterRouter
 from repro.cluster.runner import BackgroundCluster
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import PROTOCOL, encode, ok_response
-from repro.service.server import BackgroundServer
+from repro.service.server import BackgroundServer, MatchingService
 
 SHARDS = 2
 
@@ -239,3 +239,54 @@ class TestOverLimitReply:
         assert stats["unreachable"] == [0]
         assert stats["shards"] == 2
         assert alive == [False, False]
+
+
+@pytest.mark.fast
+class TestLongRequestLine:
+    """A client line past the stream limit is refused by the router."""
+
+    def test_refused_with_bad_request_and_closed(self, caplog):
+        big = {"op": "batch", "session": "s", "updates": [
+            ["insert", u, v] for u in range(160) for v in range(u + 1, 160)]}
+
+        async def scenario():
+            services = [MatchingService(), MatchingService()]
+            shard_servers = [
+                await asyncio.start_server(service.handle_connection,
+                                           "127.0.0.1", 0)
+                for service in services
+            ]
+            router = ClusterRouter([server.sockets[0].getsockname()[:2]
+                                    for server in shard_servers])
+            bound: asyncio.Future = (
+                asyncio.get_running_loop().create_future()
+            )
+            serving = asyncio.get_running_loop().create_task(
+                router.serve_forever(
+                    on_ready=lambda host, port: bound.set_result((host, port))
+                )
+            )
+            reader, writer = await asyncio.open_connection(*await bound)
+            writer.write(encode({"op": "ping", "id": 1}) + encode(big))
+            await writer.drain()
+            replies = [json.loads(await reader.readline()) for _ in range(2)]
+            tail = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            alive = [link.alive for link in router.links]
+            router.request_shutdown()
+            await serving
+            for server in shard_servers:
+                server.close()
+                await server.wait_closed()
+            return replies, tail, alive
+
+        with caplog.at_level("ERROR", logger="asyncio"):
+            replies, tail, alive = asyncio.run(
+                asyncio.wait_for(scenario(), 30))
+        assert replies[0]["ok"] is True and replies[0]["id"] == 1
+        assert replies[1]["error"] == "bad-request"
+        assert "64 KiB" in replies[1]["message"]
+        assert tail == b""
+        assert alive == [True, True]  # the line never reached a shard
+        assert not [r for r in caplog.records if r.name == "asyncio"]

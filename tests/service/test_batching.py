@@ -6,6 +6,7 @@ import pytest
 
 from repro.service import batching
 from repro.service.batching import Backpressure, MicroBatcher
+from repro.service.protocol import ProtocolError
 from repro.service.session import Session, UpdateError
 
 pytestmark = pytest.mark.fast
@@ -166,16 +167,41 @@ class TestWorkerRobustness:
         async def scenario():
             session = make_session()
             batcher = MicroBatcher(session)
-            updates = [("insert", 2 * i, 2 * i + 1) for i in range(6)]
-            with pytest.raises(Backpressure):
+            first = asyncio.ensure_future(batcher.submit_batch(
+                [("insert", 2 * i, 2 * i + 1) for i in range(3)]))
+            await asyncio.sleep(0)  # the first batch is queued, not applied
+            updates = [("insert", 2 * i, 2 * i + 1) for i in range(3, 5)]
+            with pytest.raises(Backpressure, match="retry"):
                 await batcher.submit_batch(updates)
+            await first
             await batcher.close()
             return session
 
         session = run(scenario())
-        # Nothing was applied and the rejection was counted in full.
-        assert session.seq == 0
-        assert session.metrics.counters.value("rejected_over_budget") == 6
+        # Only the first batch was applied; the rejection counted in full.
+        assert session.seq == 3
+        assert session.metrics.counters.value("rejected_over_budget") == 2
+
+    def test_batch_larger_than_the_queue_is_a_bad_request(self, monkeypatch):
+        # No wait would ever admit it, so the retryable backpressure
+        # code would have a client retry forever.
+        monkeypatch.setattr(batching, "MAX_QUEUE", 4)
+
+        async def scenario():
+            session = make_session()
+            batcher = MicroBatcher(session)
+            updates = [("insert", 2 * i, 2 * i + 1) for i in range(5)]
+            with pytest.raises(ProtocolError) as refused:
+                await batcher.submit_batch(updates)
+            applied = await batcher.submit_batch(updates[:4])
+            await batcher.close()
+            return session, refused.value, applied
+
+        session, refused, applied = run(scenario())
+        assert refused.code == "bad-request"
+        assert "at most 4 updates" in str(refused)
+        assert [outcome["seq"] for outcome in applied] == [1, 2, 3, 4]
+        assert session.metrics.counters.value("rejected_over_budget") == 0
 
     def test_updates_applied_in_submission_order(self, monkeypatch):
         monkeypatch.setattr(batching, "MAX_BATCH", 3)

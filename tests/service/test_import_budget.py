@@ -111,6 +111,41 @@ def test_second_round_of_served_ops_loads_nothing():
     assert run_fresh(_TWO_ROUNDS) == []
 
 
+#: Drives every served op but ``snapshot`` in one service, then reports
+#: the modules its first ``snapshot`` (the process's first graph build)
+#: loaded.
+_FIRST_SNAPSHOT = """
+import asyncio, json, sys
+from repro.service.server import MatchingService
+
+async def main():
+    service = MatchingService()
+    calls = [
+        {"op": "create", "session": "s", "num_vertices": 32, "beta": 1,
+         "epsilon": 0.5, "seed": 3},
+        {"op": "batch", "session": "s", "updates": [
+            ["insert", u, v] for u in range(12) for v in range(u + 1, 12)]},
+        {"op": "query_matching", "session": "s"},
+        {"op": "stats", "session": "s"},
+        {"op": "cluster_stats"},
+    ]
+    for request in calls:
+        assert (await service.handle_request(request))["ok"]
+    before = set(sys.modules)
+    assert (await service.handle_request(
+        {"op": "snapshot", "session": "s"}))["ok"]
+    await service.close_all()
+    return sorted(set(sys.modules) - before)
+
+print(json.dumps(asyncio.run(main())))
+"""
+
+
+def test_first_served_snapshot_loads_nothing():
+    # np.unique used to import numpy.ma inside the first snapshot.
+    assert run_fresh(_FIRST_SNAPSHOT) == []
+
+
 #: Allocates a buffer of asyncio's socket-read size inside a service
 #: loop; reports how many new memory mappings glibc made for it.
 _READ_BUFFER = """

@@ -127,14 +127,24 @@ class TestLatencyRecorder:
         assert recorder.over_budget == 1
         assert recorder.snapshot()["max_ms"] == 50.0
 
-    def test_samples_stored_rounded_and_sorted_in_place_on_read(self):
+    def test_samples_in_record_order_plus_a_sorted_view(self):
+        # samples_ms stays in record order (the cursor form of
+        # shard_stats slices it); reads get a sorted view that is kept
+        # and extended, never a sort of samples_ms itself.
         recorder = LatencyRecorder()
         for seconds in (0.003, 0.00123456, 0.002):
             recorder.record(seconds)
-        assert recorder.samples_ms == [3.0, 1.2346, 2.0]
         ordered = recorder.sorted_ms()
-        assert ordered is recorder.samples_ms
+        assert recorder.samples_ms == [3.0, 1.2346, 2.0]
         assert ordered == [1.2346, 2.0, 3.0]
+        recorder.record(0.0015)
+        assert recorder.sorted_ms() is ordered
+        assert ordered == [1.2346, 1.5, 2.0, 3.0]
+        assert recorder.samples_ms == [3.0, 1.2346, 2.0, 1.5]
+
+    def test_each_recorder_gets_its_own_uid(self):
+        uids = {LatencyRecorder().uid for _ in range(3)}
+        assert len(uids) == 3
 
     def test_snapshot_shape(self):
         recorder = LatencyRecorder()

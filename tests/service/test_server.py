@@ -8,7 +8,7 @@ import pytest
 from repro.service import batching
 from repro.service import server as server_module
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.protocol import PROTOCOL
+from repro.service.protocol import PROTOCOL, encode
 from repro.service.server import BackgroundServer, MatchingService
 
 pytestmark = pytest.mark.fast
@@ -201,6 +201,22 @@ class TestErrorCodes:
         assert update["error"] == "no-such-session"
 
     def test_backpressure_error_code(self, monkeypatch):
+        # Two batches in one write reach the server in one read, so the
+        # second is admitted while the first still waits in the queue.
+        monkeypatch.setattr(batching, "MAX_QUEUE", 4)
+        batches = [[["insert", 2 * i, 2 * i + 1] for i in range(3)],
+                   [["insert", 2 * i, 2 * i + 1] for i in range(3, 5)]]
+        with BackgroundServer() as srv:
+            with ServiceClient(srv.host, srv.port) as cli:
+                cli.create("s", num_vertices=32, beta=1, epsilon=0.4, seed=0)
+                first, second = _pipelined(srv, [
+                    {"op": "batch", "session": "s", "updates": updates}
+                    for updates in batches])
+                assert first["ok"] is True and first["applied"] == 3
+                assert second["error"] == "backpressure"
+                assert cli.stats("s")["counters"]["rejected_over_budget"] == 2
+
+    def test_batch_larger_than_the_queue_is_a_bad_request(self, monkeypatch):
         monkeypatch.setattr(batching, "MAX_QUEUE", 4)
         with BackgroundServer() as srv:
             with ServiceClient(srv.host, srv.port) as cli:
@@ -208,8 +224,26 @@ class TestErrorCodes:
                 updates = [("insert", 2 * i, 2 * i + 1) for i in range(8)]
                 with pytest.raises(ServiceError) as excinfo:
                     cli.batch("s", updates)
-                assert excinfo.value.code == "backpressure"
-                assert cli.stats("s")["counters"]["rejected_over_budget"] == 8
+                assert excinfo.value.code == "bad-request"
+                assert "at most 4 updates" in str(excinfo.value)
+                assert cli.batch("s", updates[:4])["applied"] == 4
+                assert "rejected_over_budget" not in cli.stats("s")["counters"]
+
+
+def _pipelined(server, requests):
+    """Send ``requests`` in one write on one connection; decode replies."""
+
+    async def scenario():
+        reader, writer = await asyncio.open_connection(server.host,
+                                                       server.port)
+        writer.write(b"".join(encode(request) for request in requests))
+        await writer.drain()
+        replies = [json.loads(await reader.readline()) for _ in requests]
+        writer.close()
+        await writer.wait_closed()
+        return replies
+
+    return asyncio.run(scenario())
 
 
 class TestWireLevel:
@@ -301,6 +335,47 @@ class TestWireLevel:
         assert client.ping()["protocol"] == PROTOCOL
 
 
+    def test_line_over_the_stream_limit_is_refused_and_closed(
+            self, server, caplog):
+        # One batch of 12,720 inserts is a ~250 KiB line: past asyncio's
+        # 64 KiB stream limit.  The requests before it are answered, it
+        # gets a bad-request reply, and the connection is closed.
+        with ServiceClient(server.host, server.port) as cli:
+            cli.create("s", num_vertices=160, beta=1, epsilon=0.5, seed=0,
+                       journal=False)
+        big = {"op": "batch", "session": "s", "updates": [
+            ["insert", u, v] for u in range(160) for v in range(u + 1, 160)]}
+        with caplog.at_level("ERROR", logger="asyncio"):
+            replies, tail = refused_long_line(
+                server.host, server.port, [{"op": "ping", "id": 1}], big)
+        assert replies[0] == {"ok": True, "protocol": PROTOCOL, "id": 1}
+        assert replies[1]["error"] == "bad-request"
+        assert "64 KiB" in replies[1]["message"]
+        assert tail == b""
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+        with ServiceClient(server.host, server.port) as cli:
+            assert cli.stats("s")["counters"].get("updates", 0) == 0
+
+
+def refused_long_line(host, port, before, big):
+    """Send ``before`` and then ``big`` (past the stream limit) on one
+    connection; return the two last replies and what follows them."""
+
+    async def scenario():
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(b"".join(encode(request) for request in before))
+        writer.write(encode(big))
+        await writer.drain()
+        replies = [json.loads(await reader.readline())
+                   for _ in range(len(before) + 1)]
+        tail = await reader.read()
+        writer.close()
+        await writer.wait_closed()
+        return replies, tail
+
+    return asyncio.run(asyncio.wait_for(scenario(), 30))
+
+
 class TestConnectionLoop:
     """The handle_connection reader/writer machinery, driven with fake
     duck-typed streams so failure injection is deterministic."""
@@ -340,10 +415,48 @@ class TestConnectionLoop:
             self.wait_closed_called = True
 
     def serve_lines(self, lines, writer):
+        return self.serve_lines_from(self.FakeReader(lines), writer)
+
+    class LongLineReader(FakeReader):
+        """Serves ``lines``, then a line past the stream limit: its end
+        already buffered (``found``) or still to come in ``rest``."""
+
+        def __init__(self, lines, found, rest=()):
+            super().__init__(lines)
+            self.found = found
+            self.rest = list(rest)
+            self.reads = 0
+
+        async def readline(self):
+            if self._lines:
+                return self._lines.pop(0)
+            raise ValueError("Separator is found, but chunk is longer "
+                             "than limit" if self.found else
+                             "Separator is not found, and chunk exceed "
+                             "the limit")
+
+        async def read(self, _n):
+            self.reads += 1
+            return self.rest.pop(0) if self.rest else b""
+
+    @pytest.mark.parametrize("found", [True, False])
+    def test_long_line_refused_in_order_then_closed(self, found):
+        ping = (json.dumps({"op": "ping", "id": 0}) + "\n").encode()
+        rest = [b"x" * 10, b"xx\n" + ping, ping]
+        reader = self.LongLineReader([ping], found, rest)
+        writer = self.FakeWriter()
+        replies = self.serve_lines_from(reader, writer)
+        assert replies[0]["id"] == 0
+        assert replies[1]["error"] == "bad-request"
+        assert len(replies) == 2 and writer.closed
+        # The rest of the line is discarded, and nothing after it.
+        assert reader.reads == (0 if found else 2)
+
+    def serve_lines_from(self, reader, writer):
         service = MatchingService()
 
         async def scenario():
-            await service.handle_connection(self.FakeReader(lines), writer)
+            await service.handle_connection(reader, writer)
 
         asyncio.run(scenario())
         return [json.loads(chunk) for chunk in writer.chunks]
