@@ -85,10 +85,12 @@ class SampleMirror:
     """One shard's latency samples as last received, per session.
 
     ``sessions`` maps a recorder uid (the wire string) to the samples
-    received from it, sorted ascending.  :meth:`request` asks the shard
-    for what is new; :meth:`fold` takes the cursor-form reply in and
-    returns the full-form ``shard_stats`` payload the shard would have
-    sent, samples included.  Polls must fold one at a time, in the
+    received from it, sorted ascending; their merged union is kept and
+    rebuilt only when a tail brings samples or the session set changes,
+    so a poll with nothing new merges nothing.  :meth:`request` asks the
+    shard for what is new; :meth:`fold` takes the cursor-form reply in
+    and returns the full-form ``shard_stats`` payload the shard would
+    have sent, samples included.  Polls must fold one at a time, in the
     order they were sent: each ``since`` names the counts held when it
     was built.
     """
@@ -96,6 +98,7 @@ class SampleMirror:
     def __init__(self) -> None:
         """Start cold: the first poll fetches every sample."""
         self.sessions: dict[str, list[float]] = {}
+        self._union: list[float] = []
 
     def request(self) -> dict:
         """The cursor-form ``shard_stats`` request for this shard."""
@@ -109,13 +112,18 @@ class SampleMirror:
         A session missing from the reply was closed, so its samples are
         dropped; a ``start`` of 0 restarts a session's samples.  A reply
         without ``latency.tails`` (not a cursor-form answer) empties the
-        mirror and passes through unchanged.
+        mirror and passes through unchanged.  A tail that skips samples
+        is refused with ``ValueError`` and leaves the mirror cold.
         """
         latency = reply.get("latency")
+        held, union = self.sessions, self._union
+        # Cold until the reply has folded in whole, so a refused tail
+        # leaves nothing stale.
+        self.sessions, self._union = {}, []
         if not isinstance(latency, dict) or "tails" not in latency:
-            self.sessions = {}
             return reply
-        held, self.sessions = self.sessions, {}
+        sessions: dict[str, list[float]] = {}
+        changed = False
         for uid, (start, tail) in latency["tails"].items():
             samples = held.get(uid, []) if start else []
             if start != len(samples):
@@ -123,14 +131,17 @@ class SampleMirror:
                     f"shard_stats tail of {uid} starts at {start}, "
                     f"but {len(samples)} samples are held"
                 )
-            if tail:
+            if tail or (not start and held.get(uid)):
+                changed = True
                 samples += tail
                 samples.sort()
-            self.sessions[uid] = samples
+            sessions[uid] = samples
+        if changed or sessions.keys() != held.keys():
+            union = merge_sorted_samples(list(sessions.values()))
+        self.sessions, self._union = sessions, union
         full = {key: value for key, value in latency.items()
                 if key != "tails"}
-        full["samples_sorted_ms"] = merge_sorted_samples(
-            list(self.sessions.values()))
+        full["samples_sorted_ms"] = union
         return {**reply, "latency": full}
 
 

@@ -14,10 +14,12 @@ unchanged against a cluster.  Per request:
 * **cluster ops** (``ping``, ``sessions``, ``shard_stats``,
   ``cluster_stats``, ``shutdown``) are answered by the router itself,
   fanning out to every shard where needed and merging
-  (:func:`repro.cluster.metrics.aggregate_cluster_stats`).  For the two
-  stats ops the router keeps a :class:`~repro.cluster.metrics.SampleMirror`
-  per shard, so a poll ships only the latency samples recorded since
-  the previous one; the replies are the ones a full fetch would give.
+  (:func:`repro.cluster.metrics.aggregate_cluster_stats`); the fanned
+  replies list the shards they could not reach as ``unreachable``.
+  For the two stats ops the router keeps a
+  :class:`~repro.cluster.metrics.SampleMirror` per shard, so a poll
+  ships only the latency samples recorded since the previous one; the
+  replies are the ones a full fetch would give.
 
 Determinism is preserved by construction: a session's updates all flow
 through one shard link (placement is a pure function of the name) and
@@ -47,6 +49,12 @@ from repro.service.transport import MAX_INFLIGHT, pipe_connection
 #: Ops forwarded to the session's home shard (everything naming a
 #: session, including ``create`` — creation *is* placement).
 ROUTED_OPS = frozenset(protocol.SESSION_OPS | {"create"})
+
+
+def _unreachable(fanned: list[dict | ShardError]) -> list[int]:
+    """Ids of the shards a fan-out could not reach."""
+    return [shard_id for shard_id, outcome in enumerate(fanned)
+            if not isinstance(outcome, dict)]
 
 
 class ClusterRouter:
@@ -136,16 +144,14 @@ class ClusterRouter:
         if op == "sessions":
             fanned = await self._fan_out(
                 [{"op": "sessions"} for _ in self.links])
-            names: list[str] = []
-            for outcome in fanned:
-                if isinstance(outcome, dict):
-                    names.extend(outcome.get("sessions", ()))
-            return ok_response(sessions=sorted(names))
+            names = [name for outcome in fanned if isinstance(outcome, dict)
+                     for name in outcome.get("sessions", ())]
+            return ok_response(sessions=sorted(names),
+                               unreachable=_unreachable(fanned))
         if op in ("shard_stats", "cluster_stats"):
             fanned = await self._poll_shard_stats()
             shards = [outcome for outcome in fanned if isinstance(outcome, dict)]
-            unreachable = [shard_id for shard_id, outcome in enumerate(fanned)
-                           if not isinstance(outcome, dict)]
+            unreachable = _unreachable(fanned)
             if op == "shard_stats":
                 return ok_response(
                     shards=[{"shard": shard_id, **outcome}

@@ -56,8 +56,9 @@ class WindowedRebuild:
     Subclasses provide ``graph`` (the live :class:`DynamicGraph` the
     prune probes), ``_rebuild_generator()`` (yields once per chunk and
     returns a mate array), and an ``update`` that keeps their graph
-    current and then calls :meth:`_advance`.  They call
-    :meth:`_start_rebuild` once their own state exists.
+    current, calls :meth:`_advance` and logs the update's work with
+    :meth:`_log_work`.  They call :meth:`_start_rebuild` once their own
+    state exists.
     """
 
     def __init__(
@@ -78,6 +79,7 @@ class WindowedRebuild:
         self._last_rebuild_cost = 1
         self._budget = 1
         self.work_log: list[int] = []
+        self._max_work = 0
         self.rebuilds_completed = 0
 
     # ------------------------------------------------------------------ #
@@ -145,6 +147,12 @@ class WindowedRebuild:
             self._mate[v] = -1
         return self._pump()
 
+    def _log_work(self, work: int) -> None:
+        """Record one update's work in :attr:`work_log` and the maximum."""
+        self.work_log.append(work)
+        if work > self._max_work:
+            self._max_work = work
+
     # ------------------------------------------------------------------ #
     def insert(self, u: int, v: int) -> None:
         """Insert edge {u, v}."""
@@ -155,8 +163,9 @@ class WindowedRebuild:
         self.update("delete", u, v)
 
     def max_work_per_update(self) -> int:
-        """Maximum work recorded for any single update so far."""
-        return max(self.work_log, default=0)
+        """Maximum work of any single update so far, kept as updates are
+        logged (O(1); clearing :attr:`work_log` does not reset it)."""
+        return self._max_work
 
 
 class LazyRebuildMatching(WindowedRebuild):
@@ -229,7 +238,7 @@ class LazyRebuildMatching(WindowedRebuild):
     def update(self, op: str, u: int, v: int) -> None:
         """Apply one edge update and do the bounded per-update work."""
         self.graph.apply(op, u, v)
-        self.work_log.append(self._advance(op, u, v))
+        self._log_work(self._advance(op, u, v))
 
     def current_ratio(self) -> float:
         """Exact approximation ratio right now (oracle; for experiments).

@@ -96,4 +96,4 @@ class ObliviousDynamicMatching(WindowedRebuild):
         """Apply one update: O(Δ) sparsifier maintenance + bounded rebuild."""
         self.sparsifier.update(op, u, v)
         spars_ops = self.sparsifier.work_log[-1]
-        self.work_log.append(spars_ops + self._advance(op, u, v))
+        self._log_work(spars_ops + self._advance(op, u, v))

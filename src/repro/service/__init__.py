@@ -4,8 +4,8 @@ The paper's headline systems result — a fully dynamic (1+ε)-MCM with
 *worst-case* update time O(β/ε³·log(1/ε)) that survives an adaptive
 adversary — is exactly the guarantee a live service needs.  This package
 is that service: an asyncio JSON-lines TCP server hosting named graph
-**sessions**, each owning a pluggable dynamic matcher backend whose
-live graph is the session's only copy of the graph.
+**sessions**, each owning a Theorem 3.5 matcher whose live graph is the
+session's only copy of the graph.
 
 Layers (bottom-up):
 
@@ -14,10 +14,10 @@ Layers (bottom-up):
   error codes.
 * :mod:`repro.service.metrics` — per-session latency recorder
   (p50/p95/p99 against a configured budget) and operation counters.
-* :mod:`repro.service.session` — :class:`Session`: a backend matcher
-  (``lazy_rebuild`` / ``oblivious`` / ``baseline``) owning the live
-  graph, a Lemma 3.4 stability certificate, an on-demand G_Δ sample
-  for ``snapshot``, and a deterministic state fingerprint.
+* :mod:`repro.service.session` — :class:`Session`: the Theorem 3.5
+  matcher (``lazy_rebuild``) owning the live graph, a Lemma 3.4
+  stability certificate, an on-demand G_Δ sample for ``snapshot``, and
+  a deterministic state fingerprint.
 * :mod:`repro.service.journal` — the per-session deterministic replay
   journal (``repro-service-journal-v2``): RngSpec-captured streams +
   applied-update log, replayable offline to a byte-identical matching.
@@ -39,7 +39,6 @@ from repro._lazy import attach
 #: Public names and their defining modules, each imported on first
 #: access (:mod:`repro._lazy`).
 _EXPORTS = {
-    "BACKENDS": "repro.service.session",
     "BackgroundServer": "repro.service.transport",
     "JOURNAL_FORMAT": "repro.service.journal",
     "JournalError": "repro.service.journal",

@@ -153,7 +153,7 @@ class MicroBatcher:
             try:
                 self._apply_batch(batch)
             except Exception as exc:
-                # A non-UpdateError failure (backend bug, journal IO
+                # A non-UpdateError failure (matcher bug, journal IO
                 # error) must not kill the worker: later submits would
                 # queue forever and close() would deadlock on join().
                 # Fail the batch's unresolved futures and keep serving.

@@ -98,7 +98,6 @@ class ServiceClient:
         num_vertices: int,
         beta: int,
         epsilon: float,
-        backend: str = "lazy_rebuild",
         seed: int | None = None,
         journal: bool = True,
         budget_ms: float | None = None,
@@ -107,7 +106,7 @@ class ServiceClient:
         request: dict[str, Any] = {
             "op": "create", "session": session,
             "num_vertices": num_vertices, "beta": beta, "epsilon": epsilon,
-            "backend": backend, "journal": journal,
+            "journal": journal,
         }
         if seed is not None:
             request["seed"] = seed

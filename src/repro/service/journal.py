@@ -25,7 +25,7 @@ Replay (:func:`replay_journal`) rebuilds the root generator via
 :func:`~repro.instrument.rng.rng_from_spec`, constructs a fresh
 :class:`~repro.service.session.Session` with the header's parameters,
 and applies the updates in sequence.  Because the session spawns the
-backend's stream deterministically and every random draw is a function
+matcher's stream deterministically and every random draw is a function
 of (stream, applied-update sequence), the replayed matching's mate
 array and the state fingerprint (backend, ``seq``, mate array, sorted
 live-graph edges) match the live session byte-for-byte — the property
@@ -38,7 +38,9 @@ whenever the same header and updates would replay to different mate
 arrays.  v2 (3.0.0) changed the neighbour sampler's draw, so every
 session whose live degree exceeds Δ serves different mates than under
 v1; :func:`read_journal` rejects v1 journals instead of replaying them
-silently wrong (repro 2.0.0 still replays them).
+silently wrong (repro 2.0.0 still replays them).  A header naming a
+retired backend (``oblivious``, ``baseline``) is refused the same way:
+:func:`replay_journal` names repro 7.1.0, the last release serving it.
 """
 
 from __future__ import annotations
@@ -191,6 +193,10 @@ def replay_journal(path: str | Path, upto: int | None = None) -> "Session":
 
     header, updates = read_journal(path)
     try:
+        Session.check_backend(header.get("backend", Session.backend))
+    except ValueError as exc:
+        raise JournalError(f"{path}: {exc}") from exc
+    try:
         spec = RngSpec(
             bit_generator=header["rng"]["bit_generator"],
             entropy=int(header["rng"]["entropy"]),
@@ -201,7 +207,6 @@ def replay_journal(path: str | Path, upto: int | None = None) -> "Session":
             num_vertices=int(header["num_vertices"]),
             beta=int(header["beta"]),
             epsilon=float(header["epsilon"]),
-            backend=header.get("backend", "lazy_rebuild"),
             rng=rng_from_spec(spec),
         )
     except (KeyError, TypeError, ValueError) as exc:

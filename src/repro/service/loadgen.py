@@ -75,7 +75,6 @@ def run_load(
     clique_size: int = 16,
     beta: int = 1,
     epsilon: float = 0.4,
-    backend: str = "lazy_rebuild",
     journal: bool = True,
     budget_ms: float | None = None,
     close: bool = False,
@@ -100,7 +99,7 @@ def run_load(
     num_cliques, clique_size:
         Shape of the β=1 clique-union host whose edges form the
         allowed universe.
-    beta, epsilon, backend, journal, budget_ms:
+    beta, epsilon, journal, budget_ms:
         Session parameters forwarded to ``create``.
     close:
         Also close the session at the end (flushes its journal).
@@ -119,9 +118,9 @@ def run_load(
     host = clique_union(num_cliques, clique_size)
     universe = sorted(host.edges())
     n = host.num_vertices
-    client.create(
+    created = client.create(
         session, num_vertices=n, beta=beta, epsilon=epsilon,
-        backend=backend, seed=seed, journal=journal, budget_ms=budget_ms,
+        seed=seed, journal=journal, budget_ms=budget_ms,
     )
     root = resolve_rng(seed=seed, owner="run_load")
     adversary_rng = root.spawn(1)[0]
@@ -174,7 +173,7 @@ def run_load(
         "session": session,
         "adversary": adversary,
         "seed": seed,
-        "backend": backend,
+        "backend": created["backend"],
         "universe": {"num_cliques": num_cliques, "clique_size": clique_size,
                      "num_vertices": n, "edges": len(universe)},
         "steps_requested": steps,
@@ -275,7 +274,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--clique-size", type=int, default=16)
     parser.add_argument("--beta", type=int, default=1)
     parser.add_argument("--epsilon", type=float, default=0.4)
-    parser.add_argument("--backend", default="lazy_rebuild")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget-ms", type=float, default=None)
     parser.add_argument("--out", default=None,
@@ -290,8 +288,8 @@ def main(argv: list[str] | None = None) -> int:
         adversary=args.adversary, steps=args.steps,
         batch_size=args.batch, num_cliques=args.num_cliques,
         clique_size=args.clique_size, beta=args.beta,
-        epsilon=args.epsilon, backend=args.backend,
-        budget_ms=args.budget_ms, close=args.close or args.shutdown,
+        epsilon=args.epsilon, budget_ms=args.budget_ms,
+        close=args.close or args.shutdown,
     )
     client = ServiceClient(args.host, args.port)
     try:

@@ -18,8 +18,8 @@ Ops
     Liveness probe; echoes the protocol version.
 ``create``
     Create a named session: ``session``, ``num_vertices``, ``beta``,
-    ``epsilon``; optional ``backend``, ``seed``, ``journal`` (bool),
-    ``budget_ms``.
+    ``epsilon``; optional ``seed``, ``journal`` (bool), ``budget_ms``,
+    and ``backend`` (only ``"lazy_rebuild"`` is served since 8.0.0).
 ``insert`` / ``delete``
     One edge update: ``session``, ``u``, ``v``.  Queued through the
     session's micro-batcher; may be rejected with ``backpressure``.

@@ -122,17 +122,13 @@ class MatchingService:
         num_vertices = int(request["num_vertices"])
         beta = int(request["beta"])
         epsilon = float(request["epsilon"])
-        backend = request.get("backend", "lazy_rebuild")
         seed = request.get("seed")
         budget_ms = request.get("budget_ms", DEFAULT_BUDGET_MS)
         # Validate everything *before* opening the journal: constructing
         # a ReplayJournal truncates any existing journal of this name,
         # which a doomed create must never do.
         try:
-            if not isinstance(backend, str):
-                raise ValueError(
-                    f"backend must be a string, got {type(backend).__name__}"
-                )
+            Session.check_backend(request.get("backend", Session.backend))
             if seed is not None and (
                 not isinstance(seed, int) or isinstance(seed, bool)
             ):
@@ -142,7 +138,7 @@ class MatchingService:
             if (not isinstance(budget_ms, (int, float))
                     or isinstance(budget_ms, bool) or budget_ms <= 0):
                 raise ValueError(f"budget_ms must be > 0, got {budget_ms!r}")
-            validate_session_params(num_vertices, beta, epsilon, backend)
+            validate_session_params(num_vertices, beta, epsilon)
         except ValueError as exc:
             raise ProtocolError("bad-request", str(exc)) from exc
         journal = None
@@ -155,7 +151,6 @@ class MatchingService:
                 num_vertices=num_vertices,
                 beta=beta,
                 epsilon=epsilon,
-                backend=backend,
                 seed=seed,
                 journal=journal,
                 budget_ms=float(budget_ms),

@@ -1,14 +1,13 @@
-"""A served graph session: matcher backend + certificate + journal.
+"""A served graph session: the Theorem 3.5 matcher + certificate + journal.
 
 A :class:`Session` is the unit the server multiplexes.  It owns
 
-* a pluggable dynamic-matcher **backend** answering ``query_matching``
-  (:data:`BACKENDS`: ``lazy_rebuild`` — the adaptive-adversary-safe
-  Theorem 3.5 algorithm, the default; ``oblivious`` — the maintained-
-  sparsifier variant, oblivious-safe only; ``baseline`` — the
-  deterministic 2-approximation).  The backend's ``graph`` is the
-  session's one live graph: validation, ``stats``, ``snapshot`` and the
-  fingerprint all read it;
+* a :class:`~repro.dynamic.lazy_rebuild.LazyRebuildMatching` answering
+  ``query_matching`` — Theorem 3.5's adaptive-adversary-safe matcher,
+  the only one the service runs since 8.0.0 (the ``oblivious`` and
+  ``baseline`` backends are retired, :data:`RETIRED_BACKENDS`).  The
+  matcher's ``graph`` is the session's one live graph: validation,
+  ``stats``, ``snapshot`` and the fingerprint all read it;
 * a :class:`~repro.dynamic.stability.StabilityTracker` restarted at
   every completed rebuild, so ``stats`` can report the approximation
   factor Lemma 3.4 *certifies* right now, not just measurements.
@@ -21,16 +20,16 @@ function of the session's RngSpec and ``seq``.
 Determinism: the session's root generator is resolved once from
 ``seed=``/``rng=``; its :class:`~repro.instrument.rng.RngSpec` is
 captured before any draw and recorded in the replay journal header, and
-the backend stream is a spawned child, so replaying the journaled
+the matcher's stream is a spawned child, so replaying the journaled
 update sequence through a fresh session rebuilds the *same* stream and
 therefore a byte-identical matching and fingerprint.  Under
-``REPRO_RNG_SANITIZE=1`` the backend stream is draw-counted and the
+``REPRO_RNG_SANITIZE=1`` the matcher's stream is draw-counted and the
 replay contract additionally compares its fingerprint.
 
 The per-update **work budget** is derived from the Theorem 3.5 bound
-(:func:`theorem_work_budget`) and handed to the ``lazy_rebuild``
-backend as a hard ``max_chunks_per_update`` cap, making the theorem's
-worst-case guarantee the service's admission-control primitive.
+(:func:`theorem_work_budget`) and handed to the matcher as a hard
+``max_chunks_per_update`` cap, making the theorem's worst-case
+guarantee the service's admission-control primitive.
 """
 
 from __future__ import annotations
@@ -38,15 +37,12 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from hashlib import sha256
-from typing import Callable
 
 import numpy as np
 
 from repro.core.delta import DeltaPolicy
 from repro.core.sparsifier import SparsifierResult, build_sparsifier
-from repro.dynamic.baseline import DynamicMaximalMatching
 from repro.dynamic.lazy_rebuild import LazyRebuildMatching
-from repro.dynamic.oblivious import ObliviousDynamicMatching
 from repro.contracts import check_work_budget
 from repro.dynamic.stability import StabilityTracker
 from repro.instrument import workmeter
@@ -85,9 +81,9 @@ def theorem_work_budget(beta: int, epsilon: float, constant: float = 8.0) -> int
 
     The theorem's worst-case update time is O(β/ε³·log(1/ε)); this
     returns ``ceil(constant · β/ε³ · ln(1/ε))`` (floored at 1 chunk so
-    rebuilds always make progress).  The ``lazy_rebuild`` backend takes
-    it as a hard ``max_chunks_per_update``; quality under the cap is
-    measured, never assumed (Lemma 3.4 stretches gracefully).
+    rebuilds always make progress).  The matcher takes it as a hard
+    ``max_chunks_per_update``; quality under the cap is measured, never
+    assumed (Lemma 3.4 stretches gracefully).
     """
     if beta < 1:
         raise ValueError(f"beta must be >= 1, got {beta}")
@@ -97,10 +93,7 @@ def theorem_work_budget(beta: int, epsilon: float, constant: float = 8.0) -> int
     return max(1, math.ceil(bound))
 
 
-def validate_session_params(
-    num_vertices: int, beta: int, epsilon: float,
-    backend: str = "lazy_rebuild",
-) -> None:
+def validate_session_params(num_vertices: int, beta: int, epsilon: float) -> None:
     """Raise ``ValueError`` unless the session parameters are admissible.
 
     The server calls this *before* opening a replay journal, so a
@@ -113,39 +106,10 @@ def validate_session_params(
         raise ValueError(f"beta must be >= 1, got {beta}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}"
-        )
 
 
-def _make_lazy_rebuild(num_vertices, beta, epsilon, rng, work_budget):
-    """Theorem 3.5 windowed-rebuild matcher (adaptive-adversary safe)."""
-    return LazyRebuildMatching(
-        num_vertices, beta, epsilon, rng=rng,
-        max_chunks_per_update=work_budget,
-    )
-
-
-def _make_oblivious(num_vertices, beta, epsilon, rng, work_budget):
-    """Maintained-sparsifier matcher (oblivious adversaries only)."""
-    return ObliviousDynamicMatching(num_vertices, beta, epsilon, rng=rng)
-
-
-def _make_baseline(num_vertices, beta, epsilon, rng, work_budget):
-    """Deterministic 2-approximation baseline (ignores ε and the RNG)."""
-    return DynamicMaximalMatching(num_vertices)
-
-
-#: Backend registry: name → factory(num_vertices, beta, epsilon, rng,
-#: work_budget).  Every backend exposes ``update(op, u, v)``, ``graph``
-#: (the live :class:`~repro.dynamic.graph.DynamicGraph`), ``matching``,
-#: ``work_log`` and ``max_work_per_update()``.
-BACKENDS: dict[str, Callable] = {
-    "lazy_rebuild": _make_lazy_rebuild,
-    "oblivious": _make_oblivious,
-    "baseline": _make_baseline,
-}
+#: Backends earlier releases served, with the last release serving each.
+RETIRED_BACKENDS = {"oblivious": "7.1.0", "baseline": "7.1.0"}
 
 
 class Session:
@@ -161,8 +125,6 @@ class Session:
         Neighborhood-independence bound the update stream promises.
     epsilon:
         Target approximation slack.
-    backend:
-        Key into :data:`BACKENDS` (default ``lazy_rebuild``).
     rng:
         Existing generator to adopt (replay passes one rebuilt from the
         journal's RngSpec).
@@ -175,40 +137,64 @@ class Session:
         Integer root seed (the usual client-facing form).
     """
 
+    #: The served matcher's name: the ``backend`` field of the ``create``
+    #: reply, ``stats`` and the journal header, and the fingerprint's
+    #: prefix.
+    backend = "lazy_rebuild"
+
+    @classmethod
+    def check_backend(cls, backend: object) -> None:
+        """Raise ``ValueError`` unless ``backend`` names the served matcher.
+
+        ``create`` requests and journal headers still carry a
+        ``backend`` field; only :attr:`backend` is served.
+        """
+        if backend == cls.backend:
+            return
+        if isinstance(backend, str) and backend in RETIRED_BACKENDS:
+            raise ValueError(
+                f"backend {backend!r} is retired: this version serves only "
+                f"{cls.backend!r}; repro {RETIRED_BACKENDS[backend]} is "
+                f"the last release that serves it"
+            )
+        raise ValueError(
+            f"unknown backend {backend!r}; this version serves only "
+            f"{cls.backend!r}"
+        )
+
     def __init__(
         self,
         name: str,
         num_vertices: int,
         beta: int,
         epsilon: float,
-        backend: str = "lazy_rebuild",
         rng: np.random.Generator | None = None,
         journal: ReplayJournal | None = None,
         budget_ms: float = DEFAULT_BUDGET_MS,
         *,
         seed: int | None = None,
     ) -> None:
-        validate_session_params(num_vertices, beta, epsilon, backend)
+        validate_session_params(num_vertices, beta, epsilon)
         self.name = name
         self.num_vertices = num_vertices
         self.beta = beta
         self.epsilon = epsilon
-        self.backend = backend
         root = resolve_rng(seed=seed, rng=rng, owner="Session")
         if rng_sanitize_enabled():
             root = sanitize_rng(root)
         #: Stream identity of the root generator, captured before any
         #: draw — what the replay journal header records.
         self.rng_spec: RngSpec = rng_spec(root)
-        # The backend takes child 1.  Child 0's key space belongs to the
+        # The matcher takes child 1.  Child 0's key space belongs to the
         # on-demand snapshot samples (spawn key + (0, seq)), so sampling
-        # never touches the backend's stream.
+        # never touches the matcher's stream.
         self._matcher_rng = root.spawn(2)[1]
         policy = DeltaPolicy.practical()
         self.delta = policy.delta(beta, epsilon, num_vertices)
         self.work_budget = theorem_work_budget(beta, epsilon)
-        self.matcher = BACKENDS[backend](
-            num_vertices, beta, epsilon, self._matcher_rng, self.work_budget
+        self.matcher = LazyRebuildMatching(
+            num_vertices, beta, epsilon, rng=self._matcher_rng,
+            max_chunks_per_update=self.work_budget,
         )
         self.journal = journal
         self.metrics = ServiceMetrics()
@@ -241,7 +227,7 @@ class Session:
             raise UpdateError(f"edge ({u}, {v}) not present")
 
     def apply(self, op: str, u: int, v: int) -> dict:
-        """Validate and apply one update to the backend.
+        """Validate and apply one update to the matcher.
 
         Returns an applied-update record ``{"seq", "op", "work"}``;
         raises :class:`UpdateError` (nothing applied, nothing
@@ -264,7 +250,7 @@ class Session:
         if self.journal is not None:
             self.journal.record(self.seq, op, u, v)
         self._advance_certificate(op, u, v)
-        work = self.matcher.work_log[-1] if self.matcher.work_log else 0
+        work = self.matcher.work_log[-1]
         self.metrics.counters["updates"].increment()
         self.metrics.counters["inserts" if op == "insert" else "deletes"].increment()
         if meter is not None:
@@ -287,9 +273,7 @@ class Session:
     # Stability certificate (Lemma 3.4)                                  #
     # ------------------------------------------------------------------ #
     def _advance_certificate(self, op: str, u: int, v: int) -> None:
-        rebuilds = getattr(self.matcher, "rebuilds_completed", None)
-        if rebuilds is None:
-            return
+        rebuilds = self.matcher.rebuilds_completed
         if rebuilds != self._tracked_rebuilds:
             self._tracker = StabilityTracker(self.matcher.matching, self.epsilon)
             self._tracked_rebuilds = rebuilds
@@ -302,8 +286,7 @@ class Session:
     def certified_factor(self) -> float | None:
         """The Lemma 3.4 factor certified since the last rebuild.
 
-        ``None`` for backends without windowed rebuilds (``baseline``)
-        or when the certificate is vacuous (window overrun → ∞).
+        ``None`` when the certificate is vacuous (window overrun → ∞).
         """
         if self._tracker is None:
             return None
@@ -315,7 +298,7 @@ class Session:
     # ------------------------------------------------------------------ #
     @property
     def matching(self) -> Matching:
-        """The backend's current output matching."""
+        """The matcher's current output matching."""
         return self.matcher.matching
 
     def matching_payload(self) -> dict:
@@ -329,7 +312,7 @@ class Session:
     def fingerprint(self) -> str:
         """SHA-256 digest of the session's full replayable state.
 
-        Covers the backend name, the applied sequence number, the vertex
+        Covers the matcher name, the applied sequence number, the vertex
         count, the output matching (mate array bytes) and the sorted
         live-graph edges — two sessions agree on this hex string iff
         replay reproduced the state byte-for-byte.
@@ -342,7 +325,7 @@ class Session:
         return digest.hexdigest()
 
     def rng_fingerprints(self) -> tuple[RngFingerprint, ...]:
-        """Draw-count fingerprint of the backend's stream.
+        """Draw-count fingerprint of the matcher's stream.
 
         Empty unless ``REPRO_RNG_SANITIZE=1`` wrapped the stream at
         construction; the replay contract compares these to assert the
@@ -357,7 +340,7 @@ class Session:
 
         The generator is rebuilt from the session's RngSpec with spawn
         key ``+ (0, seq)``: the same ``seq`` always yields the same
-        sample, and no stream the backend or the replay contract counts
+        sample, and no stream the matcher or the replay contract counts
         is touched.
         """
         spec = self.rng_spec
@@ -385,13 +368,11 @@ class Session:
             "beta": self.beta,
             "epsilon": self.epsilon,
             "delta": self.delta,
-            "matcher_delta": getattr(self.matcher, "delta", None),
+            "matcher_delta": self.matcher.delta,
             "seq": self.seq,
             "work_budget_chunks": self.work_budget,
             "max_work_per_update": self.matcher.max_work_per_update(),
-            "rebuilds_completed": getattr(
-                self.matcher, "rebuilds_completed", None
-            ),
+            "rebuilds_completed": self.matcher.rebuilds_completed,
             "certified_factor": self.certified_factor(),
             "matching_size": self.matching.size,
             "graph_edges": self.matcher.graph.num_edges,

@@ -2,8 +2,9 @@
 
 These spawn real shard worker processes (no ``fast`` marker); the
 happy-path tests share one module-scoped cluster to amortize startup.
-The over-limit reply test runs the router against in-loop fake shards,
-the long request line test against in-loop shards; both are ``fast``.
+The over-limit reply and dead-shard ``sessions`` tests run the router
+against in-loop fake shards, the long request line test against in-loop
+shards; all three are ``fast``.
 """
 
 import asyncio
@@ -181,9 +182,15 @@ class _FakeShard:
     def __init__(self, reply: bytes) -> None:
         self.reply = reply
         self.hung_up = asyncio.Event()
+        self.writer: asyncio.StreamWriter | None = None
+
+    def hang_up(self) -> None:
+        """Close the shard's end, as a dying shard process would."""
+        self.writer.close()
 
     async def handle(self, reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
         try:
             while await reader.readline():
                 writer.write(self.reply)
@@ -192,6 +199,38 @@ class _FakeShard:
             pass
         self.hung_up.set()
         writer.close()
+
+
+@pytest.mark.fast
+class TestSessionsWithADeadShard:
+    """``sessions`` names the shards it could not list, like the stats ops."""
+
+    def test_unreachable_shard_is_named(self):
+        async def scenario():
+            fakes = [_FakeShard(encode(ok_response(sessions=["a"]))),
+                     _FakeShard(encode(ok_response(sessions=["c", "b"])))]
+            shard_servers = [
+                await asyncio.start_server(fake.handle, "127.0.0.1", 0)
+                for fake in fakes
+            ]
+            router = ClusterRouter([server.sockets[0].getsockname()[:2]
+                                    for server in shard_servers])
+            await router.connect()
+            both = await router.handle_cluster_op({"op": "sessions"})
+            fakes[0].hang_up()
+            while router.links[0].alive:
+                await asyncio.sleep(0.01)
+            one = await router.handle_cluster_op({"op": "sessions"})
+            for link in router.links:
+                await link.close()
+            for server in shard_servers:
+                server.close()
+                await server.wait_closed()
+            return both, one
+
+        both, one = asyncio.run(asyncio.wait_for(scenario(), 30))
+        assert both == ok_response(sessions=["a", "b", "c"], unreachable=[])
+        assert one == ok_response(sessions=["b", "c"], unreachable=[0])
 
 
 @pytest.mark.fast

@@ -15,7 +15,6 @@ from repro.service.client import ServiceClient
 
 NUM_VERTICES = 64
 NAMES = [f"ident-{i}" for i in range(6)]
-BACKENDS = ("lazy_rebuild", "oblivious")
 
 
 def _stream():
@@ -40,8 +39,7 @@ def _serve(shards, journal_dir):
         with ServiceClient(cl.host, cl.port) as client:
             for index, name in enumerate(NAMES):
                 client.create(name, num_vertices=NUM_VERTICES, beta=1,
-                              epsilon=0.8, seed=index,
-                              backend=BACKENDS[index % len(BACKENDS)])
+                              epsilon=0.8, seed=index)
                 updates = _stream()
                 for start in range(0, len(updates), 64):
                     client.batch(name, updates[start:start + 64])
@@ -59,9 +57,9 @@ def test_fingerprints_do_not_depend_on_the_shard_count(tmp_path):
         assert stats["matcher_delta"] < NUM_VERTICES - 1, name
         assert stats["rebuilds_completed"] > 0, name
     fingerprints = {name: fp for name, (fp, _stats) in one.items()}
-    # Same stream, different seeds: sessions of one backend end in
-    # different states, so the comparison below would notice a seed
-    # that moved.
-    assert len(set(fingerprints.values())) > len(BACKENDS)
+    # Same stream, different seeds: most sessions end in different
+    # states (two of the six agree), so the comparison below would
+    # notice a seed that moved.
+    assert len(set(fingerprints.values())) > len(NAMES) // 2
     assert {name: fp for name, (fp, _stats) in three.items()} == \
         fingerprints

@@ -4,6 +4,7 @@ import pytest
 
 from repro.dynamic.adversaries import AdaptiveAdversary, ObliviousAdversary
 from repro.dynamic.lazy_rebuild import LazyRebuildMatching
+from repro.dynamic.oblivious import ObliviousDynamicMatching
 from repro.graphs.generators import clique_union
 
 
@@ -83,6 +84,20 @@ class TestInvariantsUnderUpdates:
         alg.delete(u, v)
         assert alg.matching.partner(u) != v
         assert alg.matching.is_valid_for(alg.graph.snapshot())
+
+
+@pytest.mark.fast
+@pytest.mark.parametrize("matcher", [LazyRebuildMatching,
+                                     ObliviousDynamicMatching])
+def test_running_max_work_equals_the_log_maximum(host, matcher):
+    """``max_work_per_update`` is kept as work is logged, not rescanned."""
+    alg = matcher(host.num_vertices, 1, 0.4, seed=8)
+    assert alg.max_work_per_update() == 0
+    adv = ObliviousAdversary(list(host.edges()), 0.3, seed=9)
+    for update in adv.stream(400):
+        alg.update(update.op, update.u, update.v)
+        assert alg.max_work_per_update() == max(alg.work_log)
+    assert alg.rebuilds_completed > 0
 
 
 class TestHardWorkCap:

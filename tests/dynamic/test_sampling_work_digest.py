@@ -27,8 +27,9 @@ import pytest
 
 from repro.dynamic.adversaries import ObliviousAdversary
 from repro.graphs.generators import clique_union
+from repro.dynamic.lazy_rebuild import LazyRebuildMatching
 from repro.instrument import workmeter
-from repro.service.session import BACKENDS, theorem_work_budget
+from repro.service.session import theorem_work_budget
 
 NUM_CLIQUES, CLIQUE_SIZE = 2, 64
 BETA, EPSILON = 1, 0.8
@@ -47,10 +48,10 @@ def work_digests() -> tuple[str, str]:
     universe = [(int(u), int(v)) for u, v in edges]
     meter_digest = sha256()
     with workmeter.audit() as meter:
-        matcher = BACKENDS["lazy_rebuild"](
+        matcher = LazyRebuildMatching(
             NUM_CLIQUES * CLIQUE_SIZE, BETA, EPSILON,
-            np.random.default_rng(MATCHER_SEED),
-            theorem_work_budget(BETA, EPSILON),
+            rng=np.random.default_rng(MATCHER_SEED),
+            max_chunks_per_update=theorem_work_budget(BETA, EPSILON),
         )
 
         def apply(op: str, u: int, v: int) -> None:

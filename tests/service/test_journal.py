@@ -1,6 +1,7 @@
 """Tests for the replay journal: format, fault tolerance, determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from repro.service.journal import (
     read_journal,
     replay_journal,
 )
-from repro.service.session import BACKENDS, Session
+from repro.service.session import RETIRED_BACKENDS, Session
 
 pytestmark = pytest.mark.fast
 
@@ -33,10 +34,10 @@ JOURNALS_1_8_0 = ["v1.8.0-baseline.jsonl", "v1.8.0-lazy-rebuild.jsonl",
                   "v1.8.0-oblivious.jsonl"]
 
 
-def record_session(path, seed=3, updates=UPDATES, backend="lazy_rebuild"):
+def record_session(path, seed=3, updates=UPDATES):
     session = Session(
         "journal-test", num_vertices=8, beta=1, epsilon=0.4,
-        backend=backend, seed=seed, journal=ReplayJournal(path),
+        seed=seed, journal=ReplayJournal(path),
     )
     for op, u, v in updates:
         session.apply(op, u, v)
@@ -145,10 +146,10 @@ class TestFaults:
 
 
 class TestReplay:
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("backend", [Session.backend])
     def test_replay_is_byte_identical(self, tmp_path, backend):
         path = tmp_path / "s.jsonl"
-        recorded = record_session(path, backend=backend)
+        recorded = record_session(path)
         replayed = replay_journal(path)
         assert replayed.backend == backend
         assert replayed.seq == recorded.seq
@@ -157,15 +158,33 @@ class TestReplay:
         assert replayed.fingerprint() == recorded.fingerprint()
         check_replay_sessions(recorded, replayed)
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("backend", [Session.backend])
     def test_replay_under_sanitizer_checks_draw_counts(self, tmp_path,
                                                        monkeypatch, backend):
         monkeypatch.setenv("REPRO_RNG_SANITIZE", "1")
         path = tmp_path / "s.jsonl"
-        recorded = record_session(path, backend=backend)
+        recorded = record_session(path)
         replayed = replay_journal(path)
+        assert recorded.backend == backend
         assert recorded.rng_fingerprints() != ()
         check_replay_sessions(recorded, replayed)
+
+    @pytest.mark.parametrize("backend", [*sorted(RETIRED_BACKENDS), "quantum"])
+    def test_header_naming_another_backend_is_refused(self, tmp_path, backend):
+        if backend in RETIRED_BACKENDS:
+            message = (f"backend '{backend}' is retired.*repro "
+                       + re.escape(RETIRED_BACKENDS[backend]))
+        else:
+            message = f"unknown backend '{backend}'"
+        path = tmp_path / "s.jsonl"
+        record_session(path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["backend"] = backend
+        lines[0] = json.dumps(header)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(JournalError, match=message):
+            replay_journal(path)
 
     def test_contract_catches_divergence(self, tmp_path):
         path = tmp_path / "s.jsonl"

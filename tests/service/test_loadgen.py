@@ -30,6 +30,7 @@ class TestRunLoad:
         assert report["stats"]["seq"] == 80
         assert report["stats"]["latency"]["count"] == 80
         assert report["universe"]["num_vertices"] == 64
+        assert report["backend"] == report["stats"]["backend"] == "lazy_rebuild"
 
     def test_adaptive_is_deterministic_and_adaptive(self, tmp_path):
         # Same seed, two fresh sessions: the full adaptivity loop
@@ -91,3 +92,11 @@ class TestCli:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["applied"] == 10
+
+    def test_backend_flag_is_a_usage_error(self, capsys):
+        # The service runs one matcher since 8.0.0; parsing fails before
+        # any connection is opened.
+        with pytest.raises(SystemExit) as excinfo:
+            loadgen_main(["--port", "1", "--backend", "oblivious"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err

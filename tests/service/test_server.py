@@ -162,6 +162,17 @@ class TestErrorCodes:
             assert response["error"] == "bad-request", overrides
         assert client.sessions() == []
 
+    def test_create_naming_a_retired_backend_is_a_bad_request(self, client):
+        base = {"op": "create", "session": "s", "num_vertices": 8,
+                "beta": 1, "epsilon": 0.4}
+        for backend in ("oblivious", "baseline"):
+            response = client.call({**base, "backend": backend}, check=False)
+            assert response["error"] == "bad-request", backend
+            assert "repro 7.1.0 is the last release" in response["message"]
+        assert client.sessions() == []
+        created = client.call({**base, "backend": "lazy_rebuild"})
+        assert created["backend"] == "lazy_rebuild"
+
     def test_failed_create_preserves_existing_journal(self, client, tmp_path):
         client.create("s", num_vertices=8, beta=1, epsilon=0.4, seed=0)
         client.insert("s", 0, 1)
@@ -324,7 +335,7 @@ class TestWireLevel:
         # client must read a reply of any length.
         n = 120
         client.create("big", num_vertices=n, beta=1, epsilon=0.5, seed=0,
-                      backend="baseline", journal=False)
+                      journal=False)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for start in range(0, len(edges), 1000):
             client.batch("big", [("insert", u, v)

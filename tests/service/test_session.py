@@ -1,9 +1,9 @@
-"""Tests for the served Session: backends, validation, determinism."""
+"""Tests for the served Session: construction, validation, determinism."""
 
 import pytest
 
 from repro.contracts import check_sparsifier_degree
-from repro.service.session import BACKENDS, Session, UpdateError, theorem_work_budget
+from repro.service.session import Session, UpdateError, theorem_work_budget
 
 pytestmark = pytest.mark.fast
 
@@ -11,16 +11,16 @@ PATH_UPDATES = [("insert", 0, 1), ("insert", 1, 2), ("insert", 2, 3),
                 ("delete", 1, 2), ("insert", 4, 5)]
 
 
-def make_session(backend="lazy_rebuild", seed=0, **kwargs):
+def make_session(seed=0, **kwargs):
     kwargs.setdefault("num_vertices", 8)
     kwargs.setdefault("beta", 1)
     kwargs.setdefault("epsilon", 0.4)
-    return Session("t", backend=backend, seed=seed, **kwargs)
+    return Session("t", seed=seed, **kwargs)
 
 
 def dense_session(size=30):
     """A K_size session: degrees exceed Δ, so G_Δ samples are proper."""
-    session = make_session(backend="baseline", num_vertices=size)
+    session = make_session(num_vertices=size)
     assert session.delta < size - 1
     for u in range(size):
         for v in range(u + 1, size):
@@ -54,20 +54,23 @@ class TestWorkBudget:
 
 class TestConstruction:
     def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_session(backend="quantum")
+        Session.check_backend("lazy_rebuild")
+        for backend in ("quantum", None, ["lazy_rebuild"]):
+            with pytest.raises(ValueError, match="unknown backend"):
+                Session.check_backend(backend)
 
     def test_bad_num_vertices(self):
         with pytest.raises(ValueError):
             make_session(num_vertices=0)
 
     def test_all_backends_construct_and_update(self):
-        for backend in BACKENDS:
-            session = make_session(backend=backend)
-            for op, u, v in PATH_UPDATES:
-                session.apply(op, u, v)
-            assert session.seq == len(PATH_UPDATES)
-            assert session.matching.size >= 1
+        # One backend is served since 8.0.0.
+        session = make_session()
+        assert session.backend == "lazy_rebuild"
+        for op, u, v in PATH_UPDATES:
+            session.apply(op, u, v)
+        assert session.seq == len(PATH_UPDATES)
+        assert session.matching.size >= 1
 
     def test_rng_spec_captured(self):
         session = make_session(seed=42)
@@ -214,16 +217,8 @@ class TestPayloads:
 
     def test_stats_reports_matcher_delta(self):
         # Session Δ(β, ε) and the matcher's Δ(β, ε/4) side by side.
-        for backend in ("lazy_rebuild", "oblivious"):
-            session = Session("d", 128, beta=1, epsilon=0.8,
-                              backend=backend, seed=7)
-            stats = session.stats_payload()
-            assert (stats["delta"], stats["matcher_delta"]) == (9, 48)
-            assert stats["matcher_delta"] == session.matcher.delta
-        baseline = make_session(backend="baseline").stats_payload()
-        assert baseline["matcher_delta"] is None
-
-    def test_baseline_has_no_certificate(self):
-        session = make_session(backend="baseline")
-        session.apply("insert", 0, 1)
-        assert session.certified_factor() is None
+        session = Session("d", 128, beta=1, epsilon=0.8, seed=7)
+        stats = session.stats_payload()
+        assert stats["backend"] == "lazy_rebuild"
+        assert (stats["delta"], stats["matcher_delta"]) == (9, 48)
+        assert stats["matcher_delta"] == session.matcher.delta
