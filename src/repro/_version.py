@@ -19,7 +19,7 @@ import re
 from pathlib import Path
 
 #: Last-resort version, asserted against pyproject.toml by the tests.
-FALLBACK = "8.0.0"
+FALLBACK = "8.1.0"
 
 
 def _pyproject_version() -> str | None:

@@ -176,8 +176,8 @@ def _replay_main(argv: list[str]) -> int:
         "session": session.name,
         "backend": session.backend,
         "seq": session.seq,
-        "size": session.matching.size,
-        "matching": session.matching_payload()["edges"],
+        "size": session.matcher.matching_size,
+        "matching": session.matcher.matched_pairs(),
         "fingerprint": session.fingerprint(),
     }
     if args.json:

@@ -56,10 +56,11 @@ def merge_latency(
     ``over_budget`` count, and the *tightest* (minimum) budget — the
     conservative SLO when shards were configured differently.  With no
     samples anywhere (an idle or empty cluster) the percentiles are 0.
+    A lone shard's run already is the union, so its percentiles are read
+    from it directly (a plain server's ``cluster_stats``).
     """
-    merged = merge_sorted_samples(
-        [shard.get("samples_sorted_ms", ()) for shard in per_shard]
-    )
+    runs = [shard.get("samples_sorted_ms", ()) for shard in per_shard]
+    merged = runs[0] if len(runs) == 1 else merge_sorted_samples(runs)
     budgets = [float(shard["budget_ms"])
                for shard in per_shard if "budget_ms" in shard]
     if merged:

@@ -84,7 +84,7 @@ def _report(journal_path: Path, session: Session) -> dict:
         "session": session.name,
         "journal": str(journal_path),
         "seq": session.seq,
-        "size": session.matching.size,
+        "size": session.matcher.matching_size,
         "fingerprint": session.fingerprint(),
     }
 

@@ -88,9 +88,24 @@ class WindowedRebuild:
         """The currently maintained matching (always valid in the graph)."""
         return Matching(self._mate.copy())
 
+    # The read accessors below answer from the served mate array itself:
+    # no copy and no involution check.  Every array they can see is an
+    # involution by construction (a swap prunes a rebuild's matching,
+    # ``_advance`` clears both ends of a deleted edge), and a session
+    # re-checks each swapped-in array through :attr:`matching` before
+    # any read is answered (``Session._advance_certificate``).
+    @property
+    def matching_size(self) -> int:
+        """Number of matched edges of the served matching."""
+        return int(np.count_nonzero(self._mate >= 0)) // 2
+
+    def matched_pairs(self) -> list[list[int]]:
+        """The matched pairs ``[u, mate[u]]`` with ``u < mate[u]``,
+        ascending in ``u`` (a fresh list; the caller may keep it)."""
+        return [[u, v] for u, v in enumerate(self._mate.tolist()) if u < v]
+
     def _window(self) -> int:
-        size = int(np.count_nonzero(self._mate >= 0)) // 2
-        return 1 + int(math.floor((self.epsilon / 4.0) * size))
+        return 1 + int(math.floor((self.epsilon / 4.0) * self.matching_size))
 
     def _start_rebuild(self) -> None:
         self._rebuild = self._rebuild_generator()

@@ -252,13 +252,15 @@ class MatchingService:
         rounded to 1e-4 ms when recorded and each session's sorted view
         (:meth:`~repro.service.metrics.LatencyRecorder.sorted_ms`) is
         kept between reads, so the one sort here merges k sorted runs
-        in C.
+        in C, and a lone session's view is copied without sorting (a
+        copy: the view keeps growing, the payload handed out must not).
         """
         payload = self._shard_rollup()
         samples: list[float] = []
         for name in sorted(self.sessions):
             samples.extend(self.sessions[name].metrics.latency.sorted_ms())
-        samples.sort()
+        if len(self.sessions) > 1:
+            samples.sort()
         payload["latency"]["samples_sorted_ms"] = samples
         return payload
 

@@ -275,6 +275,10 @@ class Session:
     def _advance_certificate(self, op: str, u: int, v: int) -> None:
         rebuilds = self.matcher.rebuilds_completed
         if rebuilds != self._tracked_rebuilds:
+            # ``matcher.matching`` validates the swapped-in mate array as
+            # an involution once, on the update that swapped it in and
+            # before any read sees it; the reads then answer from the
+            # array unchecked (``matching_payload``, ``stats_payload``).
             self._tracker = StabilityTracker(self.matcher.matching, self.epsilon)
             self._tracked_rebuilds = rebuilds
         elif self._tracker is not None:
@@ -302,12 +306,14 @@ class Session:
         return self.matcher.matching
 
     def matching_payload(self) -> dict:
-        """JSON-ready matching: ``{"size", "edges"}`` with sorted edges."""
-        matching = self.matching
-        return {
-            "size": matching.size,
-            "edges": [[int(u), int(v)] for u, v in sorted(matching.edges())],
-        }
+        """JSON-ready matching: ``{"size", "edges"}`` with sorted edges.
+
+        Read straight from the served mate array
+        (:meth:`~repro.dynamic.lazy_rebuild.WindowedRebuild.matched_pairs`):
+        no copy, no re-validation, one pass.
+        """
+        edges = self.matcher.matched_pairs()
+        return {"size": len(edges), "edges": edges}
 
     def fingerprint(self) -> str:
         """SHA-256 digest of the session's full replayable state.
@@ -317,11 +323,19 @@ class Session:
         live-graph edges — two sessions agree on this hex string iff
         replay reproduced the state byte-for-byte.
         """
+        return self._fingerprint(sorted(self.matcher.graph.edges()))
+
+    def _fingerprint(self, graph_edges: list[tuple[int, int]]) -> str:
+        """:meth:`fingerprint` over the already sorted live edges.
+
+        The edges are hashed as one ``e{u},{v};…`` buffer, the same
+        digest as one ``update`` per edge: SHA-256 over a stream equals
+        SHA-256 over its concatenation.
+        """
         digest = sha256()
         digest.update(f"{self.backend}/{self.seq}/{self.num_vertices}".encode())
         digest.update(self.matching.mate.tobytes())
-        for u, v in sorted(self.matcher.graph.edges()):
-            digest.update(f"e{u},{v};".encode())
+        digest.update("".join(f"e{u},{v};" for u, v in graph_edges).encode())
         return digest.hexdigest()
 
     def rng_fingerprints(self) -> tuple[RngFingerprint, ...]:
@@ -350,13 +364,13 @@ class Session:
     def snapshot_payload(self) -> dict:
         """JSON-ready ``snapshot`` response: graph + G_Δ + fingerprint."""
         sample = self.sample_sparsifier().subgraph
+        graph_edges = sorted(self.matcher.graph.edges())
         return {
             "num_vertices": self.num_vertices,
             "seq": self.seq,
-            "graph_edges": [[int(u), int(v)]
-                            for u, v in sorted(self.matcher.graph.edges())],
+            "graph_edges": [[int(u), int(v)] for u, v in graph_edges],
             "sparsifier_edges": sorted(sample.edge_array().tolist()),
-            "fingerprint": self.fingerprint(),
+            "fingerprint": self._fingerprint(graph_edges),
         }
 
     def stats_payload(self) -> dict:
@@ -374,7 +388,7 @@ class Session:
             "max_work_per_update": self.matcher.max_work_per_update(),
             "rebuilds_completed": self.matcher.rebuilds_completed,
             "certified_factor": self.certified_factor(),
-            "matching_size": self.matching.size,
+            "matching_size": self.matcher.matching_size,
             "graph_edges": self.matcher.graph.num_edges,
         }
         payload.update(self.metrics.snapshot())
